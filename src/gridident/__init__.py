@@ -22,14 +22,15 @@ from .synth import (MeasurementSet, NoiseSpec, OperatingPoint, add_noise,
                     voltage_coefficient)
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic,
                              build_reduced_measurements, estimate_reduced,
-                             estimate_vector_ls, min_measurements,
+                             estimate_vector_ls, least_squares, min_measurements,
                              minimum_norm_vector, symmetry_deviation,
                              uniqueness_diagnostic)
 from .stls import (RealifiedBlock, SolverConfig, StlsSolution,
                    constraint_residual, noise_blocks, plug_in_ols, realify,
                    realified_coefficient, save_trace, solve_stls)
 from .topo_recover import (PhaseIdentification, TopologyEstimate, TopologyScore,
-                           identify_phases, identify_topology, score_topology,
-                           threshold, topology_report)
+                           choose_method, estimate_topology, identify_phases,
+                           identify_topology, score_topology, threshold,
+                           topology_report)
 
 __version__ = "0.1.0"

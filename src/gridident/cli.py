@@ -5,6 +5,10 @@ noise-free measurements), noise (corrupt a measurement file), sweep
 (error-vs-measurement-count experiments over seeds), identify (recover a
 topology from a measurement file), phases (phase connectivity of a lateral).
 
+Subcommands only parse arguments and format output. identify and phases
+estimate with topo_recover.identify_topology; sweep cells with its ungated
+core, estimate_topology, to record errors below the identifiability threshold.
+
 Data goes to standard output or files; progress and timing go to standard
 error. Exit codes: 0 success, 2 precondition violation, 3 input format
 error, 4 solver failure.
@@ -22,20 +26,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import GridIdentError, NetworkFormatError, SolverFailureError
-from .exact_estimate import PriorTopology, min_measurements, minimum_norm_vector
+from .exact_estimate import PriorTopology, min_measurements
 from .graph_core import incidence_matrix, numerical_rank
 from .netmodel import load_bus_spec, load_network
-from .stls import SolverConfig, plug_in_ols, solve_stls
+from .stls import SolverConfig
 from .synth import (MeasurementSet, NoiseSpec, add_noise, average_snapshots,
                     load_measurements, random_voltage_matrix, save_measurements,
-                    stack_coefficients, synthesize, synthesize_independent,
-                    voltage_coefficient)
-from .topo_recover import (DEFAULT_ALPHA, DEFAULT_RELATIVE_ALPHA, TopologyEstimate,
-                           identify_topology, identify_phases, score_topology,
-                           threshold, topology_report)
-from .graph_core import NetworkGraph
+                    synthesize, synthesize_independent, voltage_coefficient)
+from .topo_recover import (DEFAULT_ALPHA, DEFAULT_RELATIVE_ALPHA, METHODS, choose_method,
+                           estimate_topology, identify_phases, identify_topology,
+                           score_topology, solver_outcome, topology_report)
 
-_STLS_UNKNOWN_CAP = 600  # beyond this the structured solve is impractical; fall back to plug-in
+METHOD_HELP = ("auto: exact if noiseless, else stls up to 600 unknowns and plugin beyond; "
+               "plugin is least squares on the average of --replicates noisy copies "
+               "(sweep), which on one measurement file is exact")
 
 
 def _progress(message: str) -> None:
@@ -88,12 +92,10 @@ def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
     return synthesize(net, tau, seed, v1=v1)
 
 
-def _resolve_method(method: str, sigma: float, unknowns: int) -> str:
-    if method != "auto":
-        return method
-    if sigma == 0:
-        return "exact"
-    return "stls" if unknowns <= _STLS_UNKNOWN_CAP else "plugin"
+def _alpha(args, relative: bool) -> float:
+    if args.alpha is not None:
+        return args.alpha
+    return DEFAULT_RELATIVE_ALPHA if relative else DEFAULT_ALPHA
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -133,31 +135,13 @@ def _sweep_cell(net, prior, tau, seed, args):
     t0 = time.perf_counter()
     ms = _make_measurements(net, tau, seed, args.profile)
     noisy = add_noise(ms, NoiseSpec(args.sigma), seed) if args.sigma > 0 else ms
-    h = incidence_matrix(prior.graph)
-    method = _resolve_method(args.method, args.sigma, prior.graph.e)
-    if method == "stls":
-        y = solve_stls(noisy, prior, SolverConfig()).y
-    elif method == "plugin":
-        if args.sigma > 0:
-            replicates = [add_noise(ms, NoiseSpec(args.sigma), [seed, r])
-                          for r in range(args.replicates)]
-        else:
-            replicates = [ms]
-        a, i = stack_coefficients(average_snapshots(replicates), h)
-        y = minimum_norm_vector(a, i)
-    else:
-        a, i = stack_coefficients(noisy, h)
-        y = minimum_norm_vector(a, i)
+    method = choose_method(args.method, noisy, prior)
+    if method == "plugin" and args.sigma > 0:
+        noisy = average_snapshots(add_noise(ms, NoiseSpec(args.sigma), [seed, r])
+                                  for r in range(args.replicates))
     relative = args.sigma > 0 if args.relative is None else args.relative
-    alpha = args.alpha if args.alpha is not None else (
-        DEFAULT_RELATIVE_ALPHA if relative else DEFAULT_ALPHA)
-    eff_alpha = alpha * float(np.median(np.abs(y))) if relative else alpha
-    y_hat = threshold(y, eff_alpha)
-    edges_hat = tuple(e for e, val in zip(prior.graph.edges, y_hat) if val != 0)
-    est = TopologyEstimate(
-        y_hat=y_hat, hypothesis=prior.graph, edges_hat=edges_hat,
-        graph_hat=NetworkGraph(net.graph.n, edges_hat), alpha=eff_alpha,
-        tau=tau, prior_kind=prior.kind, method=method)
+    est = estimate_topology(prior, _alpha(args, relative), noisy, SolverConfig(),
+                            relative_threshold=relative, method=method)
     score = score_topology(est, net)
     return {
         "tau": tau,
@@ -210,19 +194,9 @@ def _write_json(payload: dict, out: str | None) -> None:
 def cmd_identify(args) -> int:
     ms = load_measurements(args.measurements)
     prior = parse_prior(args.prior, ms.n)
-    method = args.method
-    if method == "auto":
-        method = "stls" if (ms.noisy and prior.graph.e <= _STLS_UNKNOWN_CAP) else \
-            ("exact" if not ms.noisy else "plugin")
-    if method == "plugin":
-        # a single measurement file is one replicate; averaging is a no-op
-        ms = average_snapshots([ms])
-        method = "exact"
-    alpha = args.alpha if args.alpha is not None else (
-        DEFAULT_RELATIVE_ALPHA if args.relative else DEFAULT_ALPHA)
     t0 = time.perf_counter()
-    est = identify_topology(prior, ms.n, alpha, ms, SolverConfig(),
-                            relative_threshold=args.relative, method=method)
+    est = identify_topology(prior, ms.n, _alpha(args, args.relative), ms, SolverConfig(),
+                            relative_threshold=args.relative, method=args.method)
     score = score_topology(est, load_network(args.truth)) if args.truth else None
     _write_json(topology_report(est, score), args.out)
     _progress(f"identify: {len(est.edges_hat)} edges in {time.perf_counter() - t0:.2f}s")
@@ -246,6 +220,7 @@ def cmd_phases(args) -> int:
         "incident_magnitude": {p: result.incident_magnitude[p] for p in sorted(result.incident_magnitude)},
         "alpha": float(result.estimate.alpha),
         "tau": result.estimate.tau,
+        **solver_outcome(result.estimate),
     }, args.out)
     return 0
 
@@ -286,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="comma list or lo:hi range")
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--method", choices=("auto", "exact", "stls", "plugin"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto", help=METHOD_HELP)
     p.add_argument("--replicates", type=int, default=8)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--relative", action=argparse.BooleanOptionalAction, default=None)
@@ -299,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", default="complete")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--relative", action="store_true")
-    p.add_argument("--method", choices=("auto", "exact", "stls", "plugin"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto", help=METHOD_HELP)
     p.add_argument("--truth", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_identify)

@@ -155,26 +155,37 @@ def uniqueness_diagnostic(a: np.ndarray, unknowns: int) -> UniquenessDiagnostic:
     return UniquenessDiagnostic(rank=rank, unknowns=unknowns)
 
 
+def require_unique(diag: UniquenessDiagnostic | None) -> None:
+    """Raise NonUniqueError carrying a given diagnostic unless every unknown is determined."""
+    if diag is not None and not diag.unique:
+        raise NonUniqueError(
+            f"coefficient matrix rank {diag.rank} < {diag.unknowns} unknowns "
+            f"(deficiency {diag.deficiency})", diagnostic=diag)
+
+
 def estimate_vector_ls(a: np.ndarray, i_stacked: np.ndarray) -> np.ndarray:
     """Unique least-squares admittance vector from the stacked system.
 
     Raises NonUniqueError carrying the rank diagnostic when the coefficient
     matrix does not determine every unknown.
     """
-    a = np.asarray(a, dtype=complex)
-    diag = uniqueness_diagnostic(a, a.shape[1])
-    if not diag.unique:
-        raise NonUniqueError(
-            f"coefficient matrix rank {diag.rank} < {diag.unknowns} unknowns "
-            f"(deficiency {diag.deficiency})", diagnostic=diag)
-    return minimum_norm_vector(a, i_stacked)
+    y, diag = least_squares(a, i_stacked)
+    require_unique(diag)
+    return y
 
 
 def minimum_norm_vector(a: np.ndarray, i_stacked: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution with no uniqueness gate.
+    """Minimum-norm least-squares solution with no uniqueness gate; see least_squares."""
+    return least_squares(a, i_stacked)[0]
 
-    Support for sweep diagnostics below the identifiability threshold, where
-    the gated estimator would refuse to answer.
+
+def least_squares(a: np.ndarray,
+                  i_stacked: np.ndarray) -> tuple[np.ndarray, UniquenessDiagnostic]:
+    """Minimum-norm least-squares solution and the rank diagnostic of the same solve.
+
+    lstsq's default cutoff, eps * max(rows, cols) * sigma_max, is
+    numerical_rank's, so the rank it returns needs no second SVD of the stack.
     """
-    return np.linalg.lstsq(np.asarray(a, dtype=complex),
-                           np.asarray(i_stacked, dtype=complex), rcond=None)[0]
+    a = np.asarray(a, dtype=complex)
+    y, _, rank, _ = np.linalg.lstsq(a, np.asarray(i_stacked, dtype=complex), rcond=None)
+    return y, UniquenessDiagnostic(rank=int(rank), unknowns=a.shape[1])

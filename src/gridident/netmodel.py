@@ -153,11 +153,11 @@ class BusSpec:
             if br.from_bus == br.to_bus:
                 raise NetworkFormatError(f"branch connects bus {br.from_bus} to itself")
             for c in br.couplings:
-                if c.from_phase not in byname[br.from_bus].phases:
+                if c.from_phase not in tuple(byname[br.from_bus].phases):
                     raise NetworkFormatError(
                         f"branch {br.from_bus}-{br.to_bus}: phase {c.from_phase} "
                         f"not declared at bus {br.from_bus}")
-                if c.to_phase not in byname[br.to_bus].phases:
+                if c.to_phase not in tuple(byname[br.to_bus].phases):
                     raise NetworkFormatError(
                         f"branch {br.from_bus}-{br.to_bus}: phase {c.to_phase} "
                         f"not declared at bus {br.to_bus}")
@@ -235,6 +235,10 @@ def _require(condition, message: str):
         raise NetworkFormatError(message)
 
 
+def _is_pair(y) -> bool:
+    return isinstance(y, list) and len(y) == 2 and all(isinstance(v, (int, float)) for v in y)
+
+
 def network_from_payload(payload: dict) -> AdmittanceNetwork:
     _require(isinstance(payload, dict), "top level must be an object")
     _require(payload.get("version") == FILE_VERSION,
@@ -252,9 +256,7 @@ def network_from_payload(payload: dict) -> AdmittanceNetwork:
         _require(isinstance(i, int) and isinstance(j, int),
                  f"{where}: fields 'i' and 'j' must be integers")
         y = item.get("y")
-        _require(isinstance(y, list) and len(y) == 2
-                 and all(isinstance(v, (int, float)) for v in y),
-                 f"{where}: field 'y' must be a [real, imag] pair")
+        _require(_is_pair(y), f"{where}: field 'y' must be a [real, imag] pair")
         pair = (i, j) if i < j else (j, i)
         pairs.append(pair)
         ys[pair] = complex(y[0], y[1])
@@ -298,6 +300,9 @@ def bus_spec_payload(spec: BusSpec) -> dict:
 
 def bus_spec_from_payload(payload: dict) -> BusSpec:
     _require(isinstance(payload, dict), "bus spec must be an object")
+    _require(isinstance(payload.get("buses", []), list)
+             and isinstance(payload.get("branches", []), list),
+             "fields 'buses' and 'branches' must be lists")
     buses = []
     for item in payload.get("buses", []):
         _require(isinstance(item, dict) and isinstance(item.get("name"), str)
@@ -306,14 +311,18 @@ def bus_spec_from_payload(payload: dict) -> BusSpec:
         buses.append(Bus(item["name"], item["phases"]))
     branches = []
     for item in payload.get("branches", []):
-        _require(isinstance(item, dict), f"bad branch entry {item!r}")
+        _require(isinstance(item, dict) and isinstance(item.get("from"), str)
+                 and isinstance(item.get("to"), str)
+                 and isinstance(item.get("couplings", []), list),
+                 f"bad branch entry {item!r}")
         couplings = []
         for c in item.get("couplings", []):
-            _require(isinstance(c, dict) and isinstance(c.get("y"), list) and len(c["y"]) == 2,
+            _require(isinstance(c, dict) and isinstance(c.get("from_phase"), str)
+                     and isinstance(c.get("to_phase"), str) and _is_pair(c.get("y")),
                      f"bad coupling entry {c!r}")
-            couplings.append(Coupling(c.get("from_phase"), c.get("to_phase"),
+            couplings.append(Coupling(c["from_phase"], c["to_phase"],
                                       complex(c["y"][0], c["y"][1])))
-        branches.append(Branch(item.get("from"), item.get("to"), tuple(couplings)))
+        branches.append(Branch(item["from"], item["to"], tuple(couplings)))
     return BusSpec(tuple(buses), tuple(branches))
 
 

@@ -3,9 +3,9 @@
 The complex regression is expanded into real/imaginary blocks, the voltage
 noise enters the coefficient matrix through the same incidence structure as
 the voltages themselves, and the resulting equality-constrained problem is
-solved by Newton iteration on the KKT residual. A plug-in ordinary least
-squares fallback handles problem sizes where the structured solve is too
-expensive.
+solved by Newton iteration on the KKT residual. The plug-in ordinary least
+squares estimator averages replicate snapshots before one plain regression;
+topo_recover.choose_method decides when it replaces the structured solve.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailureError
-from .exact_estimate import (PriorTopology, estimate_vector_ls, minimum_norm_vector,
-                             uniqueness_diagnostic)
+from .exact_estimate import PriorTopology, estimate_vector_ls, least_squares
 from .graph_core import incidence_matrix
-from .synth import MeasurementSet, OperatingPoint, average_snapshots, stack_coefficients
+from .synth import (MeasurementSet, OperatingPoint, average_snapshots, stack_coefficients,
+                    voltage_coefficient)
 
 _DAMPING_FLOOR = 1e-10
 _DAMPING_CAP = 1e8
@@ -83,15 +83,10 @@ class StlsSolution:
         return 0.5 * float(np.sum(self.s * self.s))
 
 
-def _coefficient(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # column for edge (i, j) holds w_i - w_j at row i and the negation at row j
-    return h * (h.T @ w)
-
-
 def realified_coefficient(h: np.ndarray, v_re: np.ndarray, v_im: np.ndarray) -> np.ndarray:
     """2n-by-2e real expansion of the complex coefficient matrix."""
-    b_re = _coefficient(h, v_re)
-    b_im = _coefficient(h, v_im)
+    b_re = voltage_coefficient(h, v_re)
+    b_im = voltage_coefficient(h, v_im)
     return np.block([[b_re, -b_im], [b_im, b_re]])
 
 
@@ -143,8 +138,8 @@ def _cross_block(h: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # second derivative of the Lagrangian in (voltage-noise, parameters)
     n = h.shape[0]
     l1, l2 = lam[:n], lam[n:]
-    b1 = _coefficient(h, l1)
-    b2 = _coefficient(h, l2)
+    b1 = voltage_coefficient(h, l1)
+    b2 = voltage_coefficient(h, l2)
     top = np.block([[b1, b2], [b2, -b1]])
     return np.vstack([top, np.zeros((2 * n, top.shape[1]))])
 
@@ -187,8 +182,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology,
     w = _weight_matrix(cfg, 4 * n)
 
     blocks = [realify(h, p) for p in ms.points]
-    a_cx, i_cx = stack_coefficients(ms, h)
-    rank_diag = uniqueness_diagnostic(a_cx, e_hat)
+    y0, rank_diag = least_squares(*stack_coefficients(ms, h))
     base_damping = cfg.damping
     if not rank_diag.unique:
         # the KKT system is singular along the unidentifiable directions;
@@ -197,7 +191,6 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology,
             f"coefficient matrix rank {rank_diag.rank} < {e_hat} unknowns; "
             f"the estimate cannot be unique", stacklevel=2)
         base_damping = max(base_damping, _DEFICIENT_DAMPING)
-    y0 = minimum_norm_vector(a_cx, i_cx)
 
     ns, ny, nl = 4 * n, 2 * e_hat, 2 * n
     dim = tau * ns + ny + tau * nl
@@ -293,11 +286,10 @@ def save_trace(solution: StlsSolution, path) -> None:
 def plug_in_ols(sets, prior: PriorTopology) -> np.ndarray:
     """Average repeated snapshots, then solve the ordinary least-squares system.
 
-    Replaces the structured solve when the unknown count makes it impractical:
-    averaging replicate snapshots of the same operating points shrinks the
-    noise before a single plain regression.
+    Averaging replicate snapshots of the same operating points shrinks the
+    noise before a single plain regression. topo_recover.choose_method picks
+    this estimator over the structured solve when the unknown count makes
+    that solve impractical; on one measurement set it is the exact estimator.
     """
-    h = incidence_matrix(prior.graph)
-    avg = average_snapshots(sets)
-    a, i = stack_coefficients(avg, h)
-    return estimate_vector_ls(a, i)
+    return estimate_vector_ls(*stack_coefficients(average_snapshots(sets),
+                                                  incidence_matrix(prior.graph)))

@@ -8,6 +8,7 @@ coefficient matrix that maps edge admittances to nodal current injections.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class NoiseSpec:
     sigma_scale: float = 0.001
 
     def __post_init__(self):
-        if self.sigma_scale < 0:
-            raise ValueError("sigma_scale must be nonnegative")
+        if not 0 <= self.sigma_scale < math.inf:
+            raise ValueError("sigma_scale must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,10 +315,12 @@ def load_measurements(path) -> MeasurementSet:
             if len(fields) != len(_HEADER):
                 raise NetworkFormatError(f"{path}: line {lineno}: expected 6 fields")
             try:
-                rows.append((int(fields[0]), int(fields[1]),
-                             *(float(f) for f in fields[2:])))
+                row = (int(fields[0]), int(fields[1]), *(float(f) for f in fields[2:]))
             except ValueError as exc:
                 raise NetworkFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(math.isfinite(x) for x in row[2:]):
+                raise NetworkFormatError(f"{path}: line {lineno}: V and I values must be finite")
+            rows.append(row)
     if not header_seen or not rows:
         raise NetworkFormatError(f"{path}: no measurement rows found")
     ks = sorted({r[0] for r in rows})
@@ -333,14 +336,20 @@ def load_measurements(path) -> MeasurementSet:
         v = np.array([complex(*by_key[(k, node)][0:2]) for node in nodes])
         i = np.array([complex(*by_key[(k, node)][2:4]) for node in nodes])
         points.append(OperatingPoint(v, i, k))
-    noise_spec = None
-    if "sigma_scale" in meta:
-        noise_spec = NoiseSpec(float(meta["sigma_scale"]))
+
+    def parsed(key, parse):
+        if key not in meta:
+            return None
+        try:
+            return parse(meta[key])
+        except ValueError as exc:
+            raise NetworkFormatError(f"{path}: # {key}={meta[key]}: {exc}") from exc
+
     return MeasurementSet(
         tuple(points),
         noisy=meta.get("noisy", "false") == "true",
-        noise_spec=noise_spec,
-        seed=_parse_seed(meta["seed"]) if "seed" in meta else None,
-        noise_seed=_parse_seed(meta["noise_seed"]) if "noise_seed" in meta else None,
+        noise_spec=parsed("sigma_scale", lambda text: NoiseSpec(float(text))),
+        seed=parsed("seed", _parse_seed),
+        noise_seed=parsed("noise_seed", _parse_seed),
         surrogate=meta.get("surrogate") == "true",
     )

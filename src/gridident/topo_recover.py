@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, InsufficientMeasurementsError
-from .exact_estimate import (PriorTopology, estimate_vector_ls, min_measurements)
+from .exact_estimate import (PriorTopology, UniquenessDiagnostic, least_squares,
+                             min_measurements, require_unique)
 from .graph_core import Edge, NetworkGraph, incidence_matrix
 from .netmodel import AdmittanceNetwork, Bus, BusSpec, phase_expand, phase_node_map, PHASES
 from .stls import SolverConfig, StlsSolution, solve_stls
@@ -21,6 +22,9 @@ from .synth import MeasurementSet, stack_coefficients
 
 DEFAULT_ALPHA = 1e-5
 DEFAULT_RELATIVE_ALPHA = 0.01
+METHODS = ("auto", "exact", "stls", "plugin")
+
+_STLS_UNKNOWN_CAP = 600  # beyond this the structured solve is impractical; fall back to plug-in
 
 _THRESHOLD_RULES = {
     "none": "with no prior topology information a unique solution needs tau >= n-1",
@@ -45,6 +49,7 @@ class TopologyEstimate:
 
     y_hat is aligned with the hypothesis graph's canonical edge order;
     edges_hat are exactly the edges whose entry survived thresholding.
+    method is "exact" (with the solve's rank diagnostic) or "stls" (with its solution).
     """
 
     y_hat: np.ndarray
@@ -56,6 +61,7 @@ class TopologyEstimate:
     prior_kind: str
     method: str
     solver: StlsSolution | None = None
+    uniqueness: UniquenessDiagnostic | None = None
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,52 @@ class TopologyScore:
     susceptance_abs_error: float
 
 
+def choose_method(method: str, ms: MeasurementSet, prior: PriorTopology) -> str:
+    """The one method-selection policy; an explicit method passes through.
+
+    auto picks exact for noiseless sets, stls for noisy sets with at most 600
+    unknowns, and plugin beyond.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method != "auto":
+        return method
+    if not ms.noisy:
+        return "exact"
+    return "stls" if prior.graph.e <= _STLS_UNKNOWN_CAP else "plugin"
+
+
 def _effective_alpha(y: np.ndarray, alpha: float, relative: bool) -> float:
     if not relative:
         return alpha
     return alpha * float(np.median(np.abs(y))) if y.size else 0.0
+
+
+def estimate_topology(beta: PriorTopology, alpha: float, ms: MeasurementSet,
+                      cfg: SolverConfig | None = None, relative_threshold: bool = False,
+                      method: str = "auto") -> TopologyEstimate:
+    """identify_topology without its input gates.
+
+    Below the identifiability threshold the exact path returns the
+    minimum-norm answer. plugin solves the given set exactly; averaging
+    replicates is the caller's job.
+    """
+    method = choose_method(method, ms, beta)
+    solver = uniqueness = None
+    if method == "stls":
+        solver = solve_stls(ms, beta, cfg)
+        y = solver.y
+    else:
+        a, i = stack_coefficients(ms, incidence_matrix(beta.graph))
+        y, uniqueness = least_squares(a, i)
+    eff_alpha = _effective_alpha(y, alpha, relative_threshold)
+    y_hat = threshold(y, eff_alpha)
+    edges_hat = tuple(edge for edge, val in zip(beta.graph.edges, y_hat) if val != 0)
+    return TopologyEstimate(
+        y_hat=y_hat, hypothesis=beta.graph, edges_hat=edges_hat,
+        graph_hat=NetworkGraph(beta.graph.n, edges_hat), alpha=eff_alpha, tau=ms.tau,
+        prior_kind=beta.kind, method="stls" if method == "stls" else "exact", solver=solver,
+        uniqueness=uniqueness)
 
 
 def identify_topology(beta: PriorTopology, n: int, alpha: float, ms: MeasurementSet,
@@ -84,13 +132,12 @@ def identify_topology(beta: PriorTopology, n: int, alpha: float, ms: Measurement
                       method: str = "auto") -> TopologyEstimate:
     """Estimate, threshold, and extract the recovered edge set.
 
-    Noisy sets go through the structured solver, noiseless sets through the
-    exact least-squares route; `method` can force either. With
-    relative_threshold the cutoff is alpha times the median estimated
-    magnitude, which tracks the per-unit scale of the data.
+    The method comes from choose_method. Gates: node counts must agree, tau
+    must reach the prior's threshold, and the exact path raises NonUniqueError
+    unless its stack determines every unknown. With relative_threshold the
+    cutoff is alpha times the median estimated magnitude, which tracks the
+    per-unit scale of the data.
     """
-    if method not in ("auto", "exact", "stls"):
-        raise ValueError(f"unknown method {method!r}")
     if beta.graph.n != n or ms.n != n:
         raise AlignmentError(
             f"node counts disagree: prior {beta.graph.n}, measurements {ms.n}, requested {n}")
@@ -99,21 +146,9 @@ def identify_topology(beta: PriorTopology, n: int, alpha: float, ms: Measurement
         raise InsufficientMeasurementsError(
             f"{ms.tau} operating points supplied but {needed} required: "
             f"{_THRESHOLD_RULES[beta.kind]}")
-    use_stls = ms.noisy if method == "auto" else method == "stls"
-    solver = None
-    if use_stls:
-        solver = solve_stls(ms, beta, cfg)
-        y = solver.y
-    else:
-        a, i = stack_coefficients(ms, incidence_matrix(beta.graph))
-        y = estimate_vector_ls(a, i)
-    eff_alpha = _effective_alpha(y, alpha, relative_threshold)
-    y_hat = threshold(y, eff_alpha)
-    edges_hat = tuple(edge for edge, val in zip(beta.graph.edges, y_hat) if val != 0)
-    return TopologyEstimate(
-        y_hat=y_hat, hypothesis=beta.graph, edges_hat=edges_hat,
-        graph_hat=NetworkGraph(n, edges_hat), alpha=eff_alpha, tau=ms.tau,
-        prior_kind=beta.kind, method="stls" if use_stls else "exact", solver=solver)
+    est = estimate_topology(beta, alpha, ms, cfg, relative_threshold, method)
+    require_unique(est.uniqueness)
+    return est
 
 
 def score_topology(est: TopologyEstimate, truth: AdmittanceNetwork) -> TopologyScore:
@@ -213,9 +248,17 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder,
                                incident_magnitude=incident_magnitude, estimate=est)
 
 
+def solver_outcome(est: TopologyEstimate) -> dict:
+    """The estimator that ran; on the STLS path also its convergence and KKT residual."""
+    sol = est.solver
+    return {"method": est.method, "converged": None if sol is None else sol.converged,
+            "kkt_residual": None if sol is None else float(sol.kkt_residual)}
+
+
 def topology_report(est: TopologyEstimate, score: TopologyScore | None = None) -> dict:
     """JSON-ready report of a recovered topology."""
     report = {
+        **solver_outcome(est),
         "edges": [
             {"i": i, "j": j, "y": [float(val.real), float(val.imag)]}
             for (i, j), val in zip(est.hypothesis.edges, est.y_hat)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,3 +138,76 @@ def test_phases_command(tmp_path):
 def test_missing_network_exit_2(tmp_path):
     assert main(["synth", "--network", str(tmp_path / "nope.json"),
                  "--tau", "3", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_phases_malformed_coupling_exit_3(tmp_path, capsys):
+    spec = {"buses": [{"name": "b1", "phases": "abc"}, {"name": "b2", "phases": "abc"}],
+            "branches": [{"from": "b1", "to": "b2", "couplings": []}]}
+    for coupling in ({"to_phase": "b", "y": [1, -1]},
+                     {"from_phase": "a", "to_phase": "a", "y": ["x", 1]}):
+        spec["branches"][0]["couplings"] = [coupling]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["phases", "--spec", str(path), "--bus", "b2", "--tau", "3"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: re.sub(r"\n1,2,[^,]*,", "\n1,2,nan,", text, count=1),
+    lambda text: "# sigma_scale=abc\n" + text,
+])
+def test_identify_bad_value_or_metadata_exit_3(tmp_path, cycle5, capsys, edit):
+    ms_path = tmp_path / "ms.csv"
+    assert main(["synth", "--network", str(cycle5), "--tau", "4",
+                 "--seed", "3", "--out", str(ms_path)]) == 0
+    ms_path.write_text(edit(ms_path.read_text()))
+    capsys.readouterr()
+    assert main(["identify", "--measurements", str(ms_path), "--prior", "complete"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+def test_identify_report_names_solver_outcome(tmp_path, cycle5):
+    clean, noisy = tmp_path / "ms.csv", tmp_path / "noisy.csv"
+    out = tmp_path / "report.json"
+    main(["synth", "--network", str(cycle5), "--tau", "4", "--seed", "3", "--out", str(clean)])
+    main(["noise", "--in", str(clean), "--sigma", "0.001", "--seed", "5", "--out", str(noisy)])
+    assert main(["identify", "--measurements", str(clean), "--prior", "complete",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["method"], report["converged"], report["kkt_residual"]) == ("exact", None, None)
+    assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
+                 "--relative", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["method"] == "stls" and report["converged"] is True
+    assert 0 <= report["kkt_residual"] <= 1e-5
+    assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
+                 "--relative", "--method", "plugin", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["method"] == "exact"
+
+
+@pytest.mark.parametrize("sigma, method", [("0", "exact"), ("0.001", "stls")])
+def test_sweep_row_matches_identify(tmp_path, cycle5, sigma, method):
+    """A sweep cell and identify on the same measurements score the same estimate."""
+    from gridident import (NoiseSpec, PriorTopology, add_noise, identify_topology,
+                           load_network, score_topology, synthesize_independent)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--network", str(cycle5), "--prior", "complete", "--tau", "5",
+                 "--sigma", sigma, "--seeds", "2", "--profile", "independent",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[3:]]
+    net = load_network(cycle5)
+    prior = PriorTopology.complete(5)
+    for row in rows:
+        seed = int(row[1])
+        ms = synthesize_independent(net, 5, seed)
+        if float(sigma) > 0:
+            ms = add_noise(ms, NoiseSpec(float(sigma)), seed)
+        alpha = 0.01 if float(sigma) > 0 else 1e-5
+        est = identify_topology(prior, 5, alpha, ms, relative_threshold=float(sigma) > 0)
+        assert est.method == method
+        score = score_topology(est, net)
+        assert float(row[2]) == score.conductance_abs_error
+        assert float(row[3]) == score.susceptance_abs_error
+        assert float(row[4]) == score.f1

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, HeuristicBoundWarning, NetworkGraph,
                        NonUniqueError, OutOfRegimeError, PriorTopology,
@@ -175,3 +177,23 @@ def test_reduced_and_vector_paths_agree():
     full_from_vector = matrix_from_vector(AdmittanceNetwork(prior.graph, y))
     diff = np.linalg.norm(full_from_reduced - full_from_vector)
     assert diff <= 1e-8 * np.linalg.norm(full_from_vector)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 9), kind=st.sampled_from(("complete", "minus_one", "tree")),
+       profile=st.sampled_from(("independent", "flat")), tau_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_solve_rank_matches_numerical_rank(n, kind, profile, tau_frac, seed):
+    """The rank the exact solve reports is numerical_rank's, deficient stacks included."""
+    from gridident import least_squares, numerical_rank
+    rng = np.random.default_rng(seed)
+    prior = {"complete": lambda: PriorTopology.complete(n),
+             "minus_one": lambda: PriorTopology.minus_one(n, (1, 2)),
+             "tree": lambda: PriorTopology.tree(random_tree(n, rng))}[kind]()
+    net = random_admittances(prior.graph, rng)
+    tau = 1 + round(tau_frac * (n - 1))
+    make = synthesize_independent if profile == "independent" else synthesize
+    a, i = stack_coefficients(make(net, tau, seed=seed), incidence_matrix(prior.graph))
+    _, diag = least_squares(a, i)
+    assert diag.unknowns == prior.graph.e
+    assert diag.rank == numerical_rank(a)

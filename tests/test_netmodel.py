@@ -203,3 +203,28 @@ def test_bus_spec_inside_network_file(tmp_path):
     save_network(net, path, labels=["s.a", "s.b", "t.a", "t.b"], bus_spec=spec)
     assert load_bus_spec(path) == spec
     assert load_network(path).graph == net.graph
+
+
+_TWO_BUSES = [{"name": "b1", "phases": "abc"}, {"name": "b2", "phases": "abc"}]
+
+
+@pytest.mark.parametrize("payload", [
+    {"buses": _TWO_BUSES, "branches": [{"from": "b1", "to": "b2", "couplings": [
+        {"to_phase": "b", "y": [1, -1]}]}]},
+    {"buses": _TWO_BUSES, "branches": [{"from": "b1", "to": "b2", "couplings": [
+        {"from_phase": 1, "to_phase": "a", "y": [1, -1]}]}]},
+    {"buses": _TWO_BUSES, "branches": [{"from": "b1", "to": "b2", "couplings": [
+        {"from_phase": "a", "to_phase": "a", "y": ["x", 1]}]}]},
+    {"buses": _TWO_BUSES, "branches": [{"from": "b1", "to": "b2", "couplings": [
+        {"from_phase": "a", "to_phase": "a", "y": [1, 2, 3]}]}]},
+    {"buses": _TWO_BUSES, "branches": [{"from": "b1", "to": "b2", "couplings": [
+        {"from_phase": "ab", "to_phase": "a", "y": [1, 2]}]}]},
+    {"buses": _TWO_BUSES, "branches": [{"from": ["b1"], "to": "b2", "couplings": []}]},
+    {"buses": [{"name": 7, "phases": "abc"}], "branches": []},
+    {"buses": {"name": "b1"}, "branches": []},
+])
+def test_bus_spec_parser_rejects_malformed_entries(tmp_path, payload):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(NetworkFormatError):
+        load_bus_spec(path)

@@ -235,3 +235,22 @@ def test_operating_point_validation():
         OperatingPoint(np.ones(3), np.ones(2), 1)
     with pytest.raises(ValueError):
         MeasurementSet((OperatingPoint(np.ones(2), np.zeros(2), 2),))
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: lines[:5] + ["1,2,nan,0,0,0"] + lines[6:], "line 6"),
+    (lambda lines: lines[:5] + ["1,2,1,0,inf,0"] + lines[6:], "line 6"),
+    (lambda lines: ["# sigma_scale=abc"] + lines, "sigma_scale"),
+    (lambda lines: ["# sigma_scale=-1"] + lines, "sigma_scale"),
+    (lambda lines: [line.replace("# seed=7", "# seed=x") for line in lines], "seed"),
+    (lambda lines: ["# noise_seed=1,,2"] + lines, "noise_seed"),
+])
+def test_measurement_file_rejects_bad_values_and_metadata(tmp_path, edit, where):
+    from gridident import NetworkFormatError
+    path = tmp_path / "ms.csv"
+    save_measurements(synthesize(_net(3, 41), 2, seed=7), path)
+    lines = path.read_text().splitlines()
+    assert lines[3] == "k,node,V_re,V_im,I_re,I_im"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(NetworkFormatError, match=where):
+        load_measurements(path)

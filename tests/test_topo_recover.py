@@ -194,3 +194,23 @@ def test_topology_report_shape():
     assert len(report["edges"]) == 5
     assert report["prior"] == "none" and report["tau"] == 4
     assert report["score"]["f1"] == 1.0
+
+
+def test_choose_method_table():
+    from gridident import choose_method
+    clean = synthesize_independent(_cycle_network(5, 117), 4, seed=118)
+    noisy = add_noise(clean, NoiseSpec(0.001), seed=119)
+    small = PriorTopology.complete(5)
+    edges = complete_graph(36).edges
+    at_cap = PriorTopology.explicit(NetworkGraph(36, edges[:600]))
+    over_cap = PriorTopology.explicit(NetworkGraph(36, edges[:601]))
+    for method in ("exact", "stls", "plugin"):
+        assert choose_method(method, noisy, over_cap) == method
+        assert choose_method(method, clean, small) == method
+    assert choose_method("auto", clean, small) == "exact"
+    assert choose_method("auto", clean, over_cap) == "exact"
+    assert choose_method("auto", noisy, small) == "stls"
+    assert choose_method("auto", noisy, at_cap) == "stls"
+    assert choose_method("auto", noisy, over_cap) == "plugin"
+    with pytest.raises(ValueError):
+        choose_method("fastest", noisy, small)

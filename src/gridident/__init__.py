@@ -23,8 +23,8 @@ from .synth import (MeasurementSet, NoiseSpec, OperatingPoint, add_noise,
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic,
                              build_reduced_measurements, estimate_reduced,
                              estimate_vector_ls, least_squares, min_measurements,
-                             minimum_norm_vector, symmetry_deviation,
-                             uniqueness_diagnostic)
+                             minimum_norm_vector, structured_least_squares,
+                             symmetry_deviation, uniqueness_diagnostic)
 from .stls import (RealifiedBlock, SolverConfig, StlsSolution,
                    constraint_residual, noise_blocks, plug_in_ols, realify,
                    realified_coefficient, save_trace, solve_stls)

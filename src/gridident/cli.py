@@ -60,7 +60,11 @@ def parse_prior(text: str, n: int) -> PriorTopology:
         return PriorTopology.complete(n)
     if text.startswith("minus-one:"):
         i, _, j = text[len("minus-one:"):].partition("-")
-        return PriorTopology.minus_one(n, (int(i), int(j)))
+        try:
+            edge = (int(i), int(j))
+        except ValueError:
+            raise ValueError(f"prior spec {text!r} is not of the form minus-one:I-J") from None
+        return PriorTopology.minus_one(n, edge)
     if text.startswith("tree:"):
         return PriorTopology.tree(load_network(text[len("tree:"):]).graph)
     if text.startswith("file:"):
@@ -69,11 +73,26 @@ def parse_prior(text: str, n: int) -> PriorTopology:
 
 
 def parse_tau_list(text: str) -> list[int]:
-    """Comma list '29,30,31' or inclusive range '6:20'."""
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",")]
+    """Comma list '29,30,31' or inclusive range '6:20'; every value must be at least 1."""
+    try:
+        if ":" in text:
+            lo, _, hi = text.partition(":")
+            taus = list(range(int(lo), int(hi) + 1))
+        else:
+            taus = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--tau {text!r} is not a comma list or lo:hi range of integers") from None
+    if not taus:
+        raise ValueError(f"--tau {text!r} names no operating-point count")
+    _require_positive("--tau", *taus)
+    return taus
+
+
+def _require_positive(flag: str, *values: int) -> None:
+    """Reject a count flag below 1 before any work or output."""
+    for value in values:
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
@@ -102,10 +121,11 @@ def _alpha(args, relative: bool) -> float:
 
 def cmd_ranktable(args) -> int:
     prior = parse_prior(args.prior, args.n)
+    taus = parse_tau_list(args.tau)
     h = incidence_matrix(prior.graph)
     unknowns = prior.graph.e
     print(f"{'tau':>5} {'rank':>7} {'unknowns':>9} {'unique':>7}")
-    for tau in parse_tau_list(args.tau):
+    for tau in taus:
         t0 = time.perf_counter()
         v = random_voltage_matrix(args.n, tau, np.random.default_rng([args.seed, 2, tau]))
         a = np.vstack([voltage_coefficient(h, v[:, k]) for k in range(tau)])
@@ -116,6 +136,7 @@ def cmd_ranktable(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _require_positive("--tau", args.tau)
     net = load_network(args.network)
     ms = _make_measurements(net, args.tau, args.seed, args.profile)
     save_measurements(ms, args.out)
@@ -154,9 +175,11 @@ def _sweep_cell(net, prior, tau, seed, args):
 
 
 def cmd_sweep(args) -> int:
+    _require_positive("--seeds", args.seeds)
+    _require_positive("--replicates", args.replicates)
+    taus = parse_tau_list(args.tau)
     net = load_network(args.network)
     prior = parse_prior(args.prior, net.graph.n)
-    taus = parse_tau_list(args.tau)
     seeds = list(range(args.seeds))
     jobs = [(tau, seed) for tau in taus for seed in seeds]
     t0 = time.perf_counter()
@@ -204,6 +227,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_phases(args) -> int:
+    _require_positive("--tau", args.tau)
     spec = load_bus_spec(args.spec)
 
     def builder(true_net):

@@ -19,10 +19,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailureError
-from .exact_estimate import PriorTopology, estimate_vector_ls, least_squares
+from .exact_estimate import PriorTopology, require_unique, structured_least_squares
 from .graph_core import incidence_matrix
-from .synth import (MeasurementSet, OperatingPoint, average_snapshots, stack_coefficients,
-                    voltage_coefficient)
+from .synth import MeasurementSet, OperatingPoint, average_snapshots, voltage_coefficient
 
 _DAMPING_FLOOR = 1e-10
 _DAMPING_CAP = 1e8
@@ -182,7 +181,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology,
     w = _weight_matrix(cfg, 4 * n)
 
     blocks = [realify(h, p) for p in ms.points]
-    y0, rank_diag = least_squares(*stack_coefficients(ms, h))
+    y0, rank_diag = structured_least_squares(ms, h)
     base_damping = cfg.damping
     if not rank_diag.unique:
         # the KKT system is singular along the unidentifiable directions;
@@ -291,5 +290,6 @@ def plug_in_ols(sets, prior: PriorTopology) -> np.ndarray:
     this estimator over the structured solve when the unknown count makes
     that solve impractical; on one measurement set it is the exact estimator.
     """
-    return estimate_vector_ls(*stack_coefficients(average_snapshots(sets),
-                                                  incidence_matrix(prior.graph)))
+    y, diag = structured_least_squares(average_snapshots(sets), incidence_matrix(prior.graph))
+    require_unique(diag)
+    return y

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, InsufficientMeasurementsError
-from .exact_estimate import (PriorTopology, UniquenessDiagnostic, least_squares,
-                             min_measurements, require_unique)
+from .exact_estimate import (PriorTopology, UniquenessDiagnostic, min_measurements,
+                             require_unique, structured_least_squares)
 from .graph_core import Edge, NetworkGraph, incidence_matrix
 from .netmodel import AdmittanceNetwork, Bus, BusSpec, phase_expand, phase_node_map, PHASES
 from .stls import SolverConfig, StlsSolution, solve_stls
-from .synth import MeasurementSet, stack_coefficients
+from .synth import MeasurementSet
 
 DEFAULT_ALPHA = 1e-5
 DEFAULT_RELATIVE_ALPHA = 0.01
@@ -115,8 +115,7 @@ def estimate_topology(beta: PriorTopology, alpha: float, ms: MeasurementSet,
         solver = solve_stls(ms, beta, cfg)
         y = solver.y
     else:
-        a, i = stack_coefficients(ms, incidence_matrix(beta.graph))
-        y, uniqueness = least_squares(a, i)
+        y, uniqueness = structured_least_squares(ms, incidence_matrix(beta.graph))
     eff_alpha = _effective_alpha(y, alpha, relative_threshold)
     y_hat = threshold(y, eff_alpha)
     edges_hat = tuple(edge for edge, val in zip(beta.graph.edges, y_hat) if val != 0)
@@ -249,10 +248,18 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder,
 
 
 def solver_outcome(est: TopologyEstimate) -> dict:
-    """The estimator that ran; on the STLS path also its convergence and KKT residual."""
-    sol = est.solver
+    """The estimator that ran and how its solve went.
+
+    The STLS path reports convergence and KKT residual; the exact path reports
+    rank and unknowns, plus gram_rcond when the Cholesky path (not the lstsq
+    fallback) produced the answer. Fields of the other path are None.
+    """
+    sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,
-            "kkt_residual": None if sol is None else float(sol.kkt_residual)}
+            "kkt_residual": None if sol is None else float(sol.kkt_residual),
+            "rank": None if diag is None else diag.rank,
+            "unknowns": None if diag is None else diag.unknowns,
+            "gram_rcond": None if diag is None else diag.gram_rcond}
 
 
 def topology_report(est: TopologyEstimate, score: TopologyScore | None = None) -> dict:

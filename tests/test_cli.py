@@ -211,3 +211,35 @@ def test_sweep_row_matches_identify(tmp_path, cycle5, sigma, method):
         assert float(row[2]) == score.conductance_abs_error
         assert float(row[3]) == score.susceptance_abs_error
         assert float(row[4]) == score.f1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ranktable", "--n", "4", "--tau", "0"], "--tau"),
+    (["ranktable", "--n", "4", "--tau", "3:2"], "--tau"),
+    (["ranktable", "--n", "4", "--tau", "3,x"], "--tau"),
+    (["sweep", "--tau", "4", "--seeds", "0"], "--seeds"),
+    (["sweep", "--tau", "4", "--seeds", "-1"], "--seeds"),
+    (["sweep", "--tau", "4", "--sigma", "1e-3", "--method", "plugin",
+      "--replicates", "0"], "--replicates"),
+    (["sweep", "--tau", "0,4"], "--tau"),
+    (["synth", "--tau", "0"], "--tau"),
+])
+def test_count_flags_below_one_exit_2_before_output(tmp_path, cycle5, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    if argv[0] in ("sweep", "synth"):
+        argv = argv + ["--network", str(cycle5), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["minus-one:1", "minus-one:a-b", "minus-one:"])
+def test_malformed_minus_one_prior(capsys, spec):
+    with pytest.raises(ValueError, match=r"minus-one:I-J") as err:
+        parse_prior(spec, 5)
+    assert repr(spec) in str(err.value)
+    assert main(["ranktable", "--n", "5", "--prior", spec, "--tau", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "minus-one:I-J" in captured.err

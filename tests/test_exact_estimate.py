@@ -197,3 +197,60 @@ def test_solve_rank_matches_numerical_rank(n, kind, profile, tau_frac, seed):
     _, diag = least_squares(a, i)
     assert diag.unknowns == prior.graph.e
     assert diag.rank == numerical_rank(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 9), kind=st.sampled_from(("complete", "minus_one", "tree")),
+       profile=st.sampled_from(("independent", "flat")), tau_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_structured_solve_matches_stacked_lstsq(n, kind, profile, tau_frac, seed):
+    """The Gram path reports lstsq's rank and, at full rank, lstsq's solution."""
+    from gridident import least_squares, structured_least_squares
+    rng = np.random.default_rng(seed)
+    prior = {"complete": lambda: PriorTopology.complete(n),
+             "minus_one": lambda: PriorTopology.minus_one(n, (1, 2)),
+             "tree": lambda: PriorTopology.tree(random_tree(n, rng))}[kind]()
+    net = random_admittances(prior.graph, rng)
+    tau = 1 + round(tau_frac * (n - 1))
+    make = synthesize_independent if profile == "independent" else synthesize
+    ms = make(net, tau, seed=seed)
+    h = incidence_matrix(prior.graph)
+    y, diag = structured_least_squares(ms, h)
+    y_ls, diag_ls = least_squares(*stack_coefficients(ms, h))
+    assert (diag.rank, diag.unknowns) == (diag_ls.rank, diag_ls.unknowns)
+    if diag.unique:
+        np.testing.assert_allclose(y, y_ls, rtol=1e-9)
+
+
+def test_structured_solve_never_builds_well_conditioned_stack(monkeypatch):
+    from gridident import exact_estimate, structured_least_squares, synth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense coefficient stack was built")
+
+    # exact_estimate binds the name at import, so both references are replaced
+    monkeypatch.setattr(synth, "stack_coefficients", refuse)
+    monkeypatch.setattr(exact_estimate, "stack_coefficients", refuse)
+    n = 8
+    rng = np.random.default_rng(310)
+    net = random_admittances(random_connected_graph(n, rng, 0.5), rng)
+    ms = synthesize_independent(net, n - 1, seed=311)
+    h = incidence_matrix(complete_graph(n))
+    y, diag = structured_least_squares(ms, h)
+    assert diag.unique and diag.gram_rcond >= 1e-10
+    truth = dict(zip(net.graph.edges, net.y))
+    expected = np.array([truth.get(edge, 0j) for edge in complete_graph(n).edges])
+    assert np.allclose(y, expected, rtol=0, atol=1e-8)
+
+
+def test_structured_solve_below_threshold_is_minimum_norm():
+    from gridident import least_squares, structured_least_squares
+    n = 6
+    net = random_admittances(complete_graph(n), np.random.default_rng(312))
+    ms = synthesize_independent(net, n - 3, seed=313)
+    h = incidence_matrix(complete_graph(n))
+    y, diag = structured_least_squares(ms, h)
+    y_ls, diag_ls = least_squares(*stack_coefficients(ms, h))
+    assert not diag.unique and diag.gram_rcond is None
+    assert diag == diag_ls
+    assert np.array_equal(y, y_ls)

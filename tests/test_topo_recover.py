@@ -214,3 +214,22 @@ def test_choose_method_table():
     assert choose_method("auto", noisy, over_cap) == "plugin"
     with pytest.raises(ValueError):
         choose_method("fastest", noisy, small)
+
+
+def test_solver_outcome_names_the_exact_solve():
+    from gridident import estimate_topology
+    from gridident.topo_recover import solver_outcome
+    net = _cycle_network(5, 129)
+    prior = PriorTopology.complete(5)
+    well_posed = solver_outcome(estimate_topology(
+        prior, 1e-5, synthesize_independent(net, 4, seed=130)))
+    assert (well_posed["rank"], well_posed["unknowns"]) == (10, 10)
+    assert 1e-10 <= well_posed["gram_rcond"] <= 1
+    deficient = solver_outcome(estimate_topology(
+        prior, 1e-5, synthesize_independent(net, 2, seed=131)))
+    assert deficient["rank"] < deficient["unknowns"] == 10
+    assert deficient["gram_rcond"] is None
+    noisy = add_noise(synthesize_independent(net, 4, seed=132), NoiseSpec(0.001), seed=133)
+    stls = solver_outcome(identify_topology(prior, 5, 0.01, noisy, relative_threshold=True))
+    assert stls["method"] == "stls"
+    assert (stls["rank"], stls["unknowns"], stls["gram_rcond"]) == (None, None, None)

@@ -25,8 +25,7 @@ from .exact_estimate import (PriorTopology, UniquenessDiagnostic,
                              estimate_vector_ls, least_squares, min_measurements,
                              minimum_norm_vector, structured_least_squares,
                              symmetry_deviation, uniqueness_diagnostic)
-from .stls import (RealifiedBlock, SolverConfig, StlsSolution,
-                   constraint_residual, noise_blocks, plug_in_ols, realify,
+from .stls import (SolverConfig, StlsSolution, constraint_residual, plug_in_ols,
                    realified_coefficient, save_trace, solve_stls)
 from .topo_recover import (PhaseIdentification, TopologyEstimate, TopologyScore,
                            choose_method, estimate_topology, identify_phases,

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,14 +43,6 @@ METHOD_HELP = ("auto: exact if noiseless, else stls up to 600 unknowns and plugi
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _worker_count(n_jobs: int) -> int:
-    workers = os.cpu_count() or 1
-    cap = os.environ.get("GRIDIDENT_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, min(workers, n_jobs))
 
 
 def parse_prior(text: str, n: int) -> PriorTopology:
@@ -93,6 +84,12 @@ def _require_positive(flag: str, *values: int) -> None:
     for value in values:
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
+def _require_sigma(sigma: float) -> None:
+    """Reject a negative or non-finite --sigma before any work or output."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"--sigma must be finite and nonnegative, got {sigma!r}")
 
 
 def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
@@ -175,21 +172,16 @@ def _sweep_cell(net, prior, tau, seed, args):
 
 
 def cmd_sweep(args) -> int:
+    _require_sigma(args.sigma)
     _require_positive("--seeds", args.seeds)
     _require_positive("--replicates", args.replicates)
     taus = parse_tau_list(args.tau)
     net = load_network(args.network)
     prior = parse_prior(args.prior, net.graph.n)
-    seeds = list(range(args.seeds))
-    jobs = [(tau, seed) for tau in taus for seed in seeds]
+    seeds = range(args.seeds)
     t0 = time.perf_counter()
-    workers = _worker_count(len(jobs))
-    _progress(f"sweep: {len(jobs)} cells on {workers} workers")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda tc: _sweep_cell(net, prior, tc[0], tc[1], args), jobs))
-    else:
-        rows = [_sweep_cell(net, prior, tau, seed, args) for tau, seed in jobs]
+    _progress(f"sweep: {len(taus) * len(seeds)} cells")
+    rows = [_sweep_cell(net, prior, tau, seed, args) for tau in taus for seed in seeds]
     rows.sort(key=lambda r: (r["tau"], r["seed"]))
     columns = ["tau", "seed", "total_abs_error_conductance",
                "total_abs_error_susceptance", "f1", "runtime_s"]
@@ -227,6 +219,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_phases(args) -> int:
+    _require_sigma(args.sigma)
     _require_positive("--tau", args.tau)
     spec = load_bus_spec(args.spec)
 

@@ -1,11 +1,16 @@
 """Structured total least squares estimation for noisy measurements.
 
-The complex regression is expanded into real/imaginary blocks, the voltage
-noise enters the coefficient matrix through the same incidence structure as
-the voltages themselves, and the resulting equality-constrained problem is
-solved by Newton iteration on the KKT residual. The plug-in ordinary least
-squares estimator averages replicate snapshots before one plain regression;
-topo_recover.choose_method decides when it replaces the structured solve.
+Operating point k obeys H((H^T(V_k + dV_k)) * y) = I_k + dI_k: the voltage
+noise dV enters the coefficient matrix through the same incidence structure
+as the voltages themselves. solve_stls minimizes the weighted squared noise
+subject to that equation at every point by Newton iteration on the KKT
+residual of the Lagrangian. The residual is formed for all points at once in
+complex arithmetic on n-by-tau arrays, with constraint_residual as the
+constraint; only the Newton matrix and its step are real, in the layout
+[per-point noise, real admittance parts, per-point multipliers] that the
+sparse LU factors. The plug-in ordinary least squares estimator averages
+replicate snapshots before one plain regression; topo_recover.choose_method
+decides when it replaces the structured solve.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailureError
-from .exact_estimate import PriorTopology, require_unique, structured_least_squares
+from .exact_estimate import (PriorTopology, _stack_adjoint, require_unique,
+                             structured_least_squares)
 from .graph_core import incidence_matrix
-from .synth import MeasurementSet, OperatingPoint, average_snapshots, voltage_coefficient
+from .synth import MeasurementSet, average_snapshots, voltage_coefficient
 
 _DAMPING_FLOOR = 1e-10
 _DAMPING_CAP = 1e8
@@ -53,22 +59,12 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class RealifiedBlock:
-    """Real/imaginary expansion of one operating point's regression block.
-
-    a has the two-by-two block structure of complex multiplication (top-left
-    equals bottom-right, top-right is the negated bottom-left); b stacks the
-    real then imaginary current parts.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    h: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class StlsSolution:
-    """Estimated admittances plus per-point noise estimates and solver diagnostics."""
+    """Estimated admittances plus per-point noise estimates and solver diagnostics.
+
+    s has one row per operating point: the real then imaginary parts of the
+    voltage noise, then those of the current noise.
+    """
 
     y: np.ndarray
     s: np.ndarray
@@ -83,64 +79,120 @@ class StlsSolution:
 
 
 def realified_coefficient(h: np.ndarray, v_re: np.ndarray, v_im: np.ndarray) -> np.ndarray:
-    """2n-by-2e real expansion of the complex coefficient matrix."""
+    """2n-by-2e real expansion [[B_re, -B_im], [B_im, B_re]] of the complex coefficient matrix.
+
+    n-by-tau voltage parts give one expansion per operating point, stacked
+    along a trailing axis as voltage_coefficient stacks them.
+    """
     b_re = voltage_coefficient(h, v_re)
     b_im = voltage_coefficient(h, v_im)
-    return np.block([[b_re, -b_im], [b_im, b_re]])
+    return np.concatenate([np.concatenate([b_re, -b_im], axis=1),
+                           np.concatenate([b_im, b_re], axis=1)])
 
 
-def realify(h: np.ndarray, point: OperatingPoint) -> RealifiedBlock:
-    """Expand one operating point into the real-arithmetic regression block."""
-    h = np.asarray(h, dtype=float)
-    if h.shape[0] != point.n:
-        raise ValueError("incidence matrix and operating point disagree on node count")
-    a = realified_coefficient(h, point.V.real, point.V.imag)
-    b = np.concatenate([point.I.real, point.I.imag])
-    return RealifiedBlock(a=a, b=b, h=h)
+def constraint_residual(h: np.ndarray, v: np.ndarray, cur: np.ndarray,
+                        dv: np.ndarray, di: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Equality-constraint value H((H^T(V + dV)) * y) - (I + dI) of every operating point.
+
+    v, cur and the noise guesses dv, di are n-by-tau complex arrays, one
+    column per operating point; column k is
+    voltage_coefficient(h, v_k + dv_k) @ y - (cur_k + di_k).
+    """
+    v = np.asarray(v)
+    if v.ndim != 2 or v.shape[0] != h.shape[0] or not (
+            v.shape == np.shape(cur) == np.shape(dv) == np.shape(di)):
+        raise ValueError(f"voltages, currents and noise must all be {h.shape[0]}-by-tau arrays")
+    return h @ ((h.T @ (v + dv)) * y[:, np.newaxis]) - (cur + di)
 
 
-def noise_blocks(h: np.ndarray, s: np.ndarray):
-    """Coefficient and right-hand-side perturbations induced by one noise vector.
+def _real_layout(z: np.ndarray, n: int) -> np.ndarray:
+    # (k*n)-by-tau complex -> tau-by-2kn real; row t holds, block by block, the
+    # real then imaginary parts of column t: the per-point order of the KKT vector
+    tau = z.shape[1]
+    z = z.reshape(-1, n, tau)
+    return np.stack([z.real, z.imag], axis=1).reshape(-1, tau).T
 
-    s stacks the four real n-blocks (voltage real/imag, current real/imag);
-    the voltage part enters through the same incidence structure as the
-    voltages, the current part shifts the right-hand side directly.
+
+def _complex_layout(x: np.ndarray, n: int) -> np.ndarray:
+    # inverse of _real_layout
+    tau = x.shape[0]
+    parts = x.T.reshape(-1, 2, n, tau)
+    return (parts[:, 0] + 1j * parts[:, 1]).reshape(-1, tau)
+
+
+def _split_step(step: np.ndarray, n: int, e: int, tau: int):
+    # a real vector in the KKT layout -> (2n-by-tau noise, e admittances, n-by-tau multipliers)
+    ns = tau * 4 * n
+    return (_complex_layout(step[:ns].reshape(tau, 4 * n), n),
+            step[ns:ns + e] + 1j * step[ns + e:ns + 2 * e],
+            _complex_layout(step[ns + 2 * e:].reshape(tau, 2 * n), n))
+
+
+def _kkt_residual(h, v, cur, w, s, y, lam):
+    """Stationarity-plus-feasibility residual of the Lagrangian, and the constraint's max-norm.
+
+    s is the 2n-by-tau complex noise (voltage rows over current rows), y the
+    complex admittances, lam the n-by-tau complex multipliers. The residual is
+    returned in the real layout the Newton matrix uses: every point's noise
+    stationarity (4n), then the parameter stationarity (real, imaginary),
+    then every point's constraint (2n).
     """
     n = h.shape[0]
-    if s.shape != (4 * n,):
-        raise ValueError(f"noise vector must have length 4n={4 * n}, got {s.shape}")
-    dv_re, dv_im, di_re, di_im = np.split(s, 4)
-    da = realified_coefficient(h, dv_re, dv_im)
-    db = np.concatenate([di_re, di_im])
-    return da, db
+    g = _real_layout(constraint_residual(h, v, cur, s[:n], s[n:], y), n)
+    lap = (h * y) @ h.T  # H diag(y) H^T, complex symmetric
+    f_s = _real_layout(s, n) @ w.T + _real_layout(np.vstack([lap.conj() @ lam, -lam]), n)
+    f_y = _stack_adjoint(h, h.T @ (v + s[:n]), lam)
+    resid = np.concatenate([f_s.ravel(), f_y.real, f_y.imag, g.ravel()])
+    return resid, float(np.abs(g).max())
 
 
-def constraint_residual(block: RealifiedBlock, s: np.ndarray,
-                        y_re: np.ndarray, y_im: np.ndarray) -> np.ndarray:
-    """Equality-constraint value for one operating point at the given noise/parameter guess."""
-    da, db = noise_blocks(block.h, np.asarray(s, dtype=float))
-    y2 = np.concatenate([y_re, y_im])
-    return (block.a + da) @ y2 - (block.b + db)
+def _newton_matrix(h, v, w, s, y, lam):
+    """Exact Jacobian of _kkt_residual in its real layout; the constraint is bilinear."""
+    n, e = h.shape
+    tau = v.shape[1]
+    vt = v + s[:n]
+    lap = (h * y) @ h.T
+    # d(constraint)/d(y) of every point
+    jy = np.moveaxis(realified_coefficient(h, vt.real, vt.imag), -1, 0)
+    jy = sp.csr_matrix(jy.reshape(tau * 2 * n, 2 * e))
+    # d(noise stationarity)/d(y): conj(Lap) lam = H diag(H^T lam) conj(y) on the
+    # voltage noise, nothing on the current noise
+    cross = np.zeros((tau, 4 * n, 2 * e))
+    cross[:, :2 * n] = np.moveaxis(realified_coefficient(h, lam.real, lam.imag), -1, 0)
+    cross[:, :2 * n, e:] *= -1
+    p = sp.csr_matrix(cross.reshape(tau * 4 * n, 2 * e))
+    # d(constraint)/d(noise), transposed; the same block for every point
+    js_t = sp.csr_matrix(np.vstack([np.block([[lap.real, lap.imag], [-lap.imag, lap.real]]),
+                                    -np.eye(2 * n)]))
+    sw = sp.kron(sp.identity(tau), w, format="csr")
+    jst_all = sp.kron(sp.identity(tau), js_t, format="csr")
+    return sp.bmat([[sw, p, jst_all],
+                    [p.T, None, jy.T],
+                    [jst_all.T, jy, None]], format="csc")
 
 
-def _structure_jacobian(h: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    # derivative of the constraint w.r.t. the voltage-noise block: a weighted
-    # Laplacian pair, symmetric because H diag(c) H^T is.
-    e = h.shape[1]
-    y_re, y_im = y2[:e], y2[e:]
-    c_re = (h * y_re) @ h.T
-    c_im = (h * y_im) @ h.T
-    return np.block([[c_re, -c_im], [c_im, c_re]])
+def _damped_solve(matrix, rhs, mu: float):
+    """Newton step from splu on matrix + mu*I, escalating mu until the step is accurate.
 
-
-def _cross_block(h: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    # second derivative of the Lagrangian in (voltage-noise, parameters)
-    n = h.shape[0]
-    l1, l2 = lam[:n], lam[n:]
-    b1 = voltage_coefficient(h, l1)
-    b2 = voltage_coefficient(h, l2)
-    top = np.block([[b1, b2], [b2, -b1]])
-    return np.vstack([top, np.zeros((2 * n, top.shape[1]))])
+    Returns the step and the damping it used; escalated damping is kept for
+    later iterations, since a step system singular at one iterate will almost
+    surely be singular at the next.
+    """
+    rhs_norm = float(np.linalg.norm(rhs))
+    while True:
+        try:
+            shifted = matrix if mu == 0 else matrix + mu * sp.identity(matrix.shape[0], format="csc")
+            step = splu(shifted).solve(rhs)
+            if np.all(np.isfinite(step)):
+                backward = float(np.linalg.norm(shifted @ step - rhs))
+                if backward <= 1e-6 * max(rhs_norm, 1e-300):
+                    return step, mu
+        except RuntimeError:
+            pass
+        mu = _DAMPING_FLOOR if mu == 0 else mu * 10.0
+        if mu > _DAMPING_CAP:
+            raise SolverFailureError(
+                f"step system stayed singular up to damping {_DAMPING_CAP:g}")
 
 
 def _weight_matrix(cfg: SolverConfig, size: int) -> np.ndarray:
@@ -163,7 +215,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology,
     """Estimate edge admittances from noisy measurements under structured noise.
 
     Minimizes the weighted squared noise over all per-point noise vectors
-    subject to every realified regression equation holding exactly, via full
+    subject to every noisy regression equation holding exactly, via full
     Newton steps on the stationarity-plus-feasibility residual of the
     Lagrangian. The constraint is bilinear in (noise, parameters), so the
     Jacobian assembled here is exact.
@@ -179,98 +231,42 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology,
     n, e_hat = h.shape
     tau = ms.tau
     w = _weight_matrix(cfg, 4 * n)
+    v, cur = ms.voltage_matrix(), ms.current_matrix()
 
-    blocks = [realify(h, p) for p in ms.points]
-    y0, rank_diag = structured_least_squares(ms, h)
-    base_damping = cfg.damping
+    y, rank_diag = structured_least_squares(ms, h)
+    mu = cfg.damping
     if not rank_diag.unique:
         # the KKT system is singular along the unidentifiable directions;
         # regularize so the factorization stays well defined
         warnings.warn(
             f"coefficient matrix rank {rank_diag.rank} < {e_hat} unknowns; "
             f"the estimate cannot be unique", stacklevel=2)
-        base_damping = max(base_damping, _DEFICIENT_DAMPING)
+        mu = max(mu, _DEFICIENT_DAMPING)
 
-    ns, ny, nl = 4 * n, 2 * e_hat, 2 * n
-    dim = tau * ns + ny + tau * nl
-    s = np.zeros((tau, ns))
-    y2 = np.concatenate([y0.real, y0.imag])
-    lam = np.zeros((tau, nl))
-
-    def kkt_residual():
-        g_jac = _structure_jacobian(h, y2)
-        f_s, f_g = [], []
-        f_y = np.zeros(ny)
-        jy_list = []
-        for k in range(tau):
-            da, db = noise_blocks(h, s[k])
-            jy = blocks[k].a + da
-            jy_list.append(jy)
-            f_s.append(w @ s[k] + np.concatenate([g_jac.T @ lam[k], -lam[k]]))
-            f_y += jy.T @ lam[k]
-            f_g.append(jy @ y2 - (blocks[k].b + db))
-        resid = np.concatenate([*f_s, f_y, *f_g])
-        g_norm = max(float(np.abs(g).max()) for g in f_g)
-        return resid, g_norm, jy_list, g_jac
-
-    def newton_matrix(jy_list, g_jac):
-        js_t = sp.csr_matrix(np.vstack([g_jac.T, -np.eye(nl)]))  # 4n x 2n
-        sw = sp.block_diag([sp.csr_matrix(w)] * tau, format="csr")
-        p = sp.vstack([sp.csr_matrix(_cross_block(h, lam[k])) for k in range(tau)],
-                      format="csr")
-        jst_all = sp.block_diag([js_t] * tau, format="csr")
-        jy = sp.vstack([sp.csr_matrix(j) for j in jy_list], format="csr")
-        return sp.bmat([[sw, p, jst_all],
-                        [p.T, None, jy.T],
-                        [jst_all.T, jy, None]], format="csc")
-
-    mu_state = [base_damping]
-
-    def damped_solve(matrix, rhs):
-        # escalated damping is kept for later iterations: a singular step
-        # system at one iterate will almost surely be singular at the next
-        rhs_norm = float(np.linalg.norm(rhs))
-        while True:
-            mu = mu_state[0]
-            try:
-                shifted = matrix if mu == 0 else matrix + mu * sp.identity(dim, format="csc")
-                step = splu(shifted).solve(rhs)
-                if np.all(np.isfinite(step)):
-                    backward = float(np.linalg.norm(shifted @ step - rhs))
-                    if backward <= 1e-6 * max(rhs_norm, 1e-300):
-                        return step
-            except RuntimeError:
-                pass
-            mu_state[0] = _DAMPING_FLOOR if mu == 0 else mu * 10.0
-            if mu_state[0] > _DAMPING_CAP:
-                raise SolverFailureError(
-                    f"step system stayed singular up to damping {_DAMPING_CAP:g}")
-
-    resid, g_norm, jy_list, g_jac = kkt_residual()
+    s = np.zeros((2 * n, tau), dtype=complex)
+    lam = np.zeros((n, tau), dtype=complex)
+    resid, g_norm = _kkt_residual(h, v, cur, w, s, y, lam)
     r_norm = float(np.abs(resid).max())
     trace = [(0, r_norm, g_norm, 0.0)]
-    best = (r_norm, s.copy(), y2.copy(), 0)
+    best = (r_norm, s.copy(), y.copy())
     it = 0
     while r_norm > cfg.tol and it < cfg.max_iter:
-        step = damped_solve(newton_matrix(jy_list, g_jac), -resid)
-        ds = step[:tau * ns].reshape(tau, ns)
-        dy = step[tau * ns:tau * ns + ny]
-        dlam = step[tau * ns + ny:].reshape(tau, nl)
+        step, mu = _damped_solve(_newton_matrix(h, v, w, s, y, lam), -resid, mu)
+        ds, dy, dlam = _split_step(step, n, e_hat, tau)
         s += ds
-        y2 += dy
+        y += dy
         lam += dlam
         it += 1
-        resid, g_norm, jy_list, g_jac = kkt_residual()
+        resid, g_norm = _kkt_residual(h, v, cur, w, s, y, lam)
         r_norm = float(np.abs(resid).max())
         trace.append((it, r_norm, g_norm, float(np.abs(step).max())))
         if r_norm < best[0]:
-            best = (r_norm, s.copy(), y2.copy(), it)
+            best = (r_norm, s.copy(), y.copy())
 
-    best_norm, best_s, best_y2, _ = best
-    converged = best_norm <= cfg.tol
-    y = best_y2[:e_hat] + 1j * best_y2[e_hat:]
-    return StlsSolution(y=y, s=best_s, iterations=it, kkt_residual=best_norm,
-                        converged=converged, trace=tuple(trace))
+    best_norm, best_s, best_y = best
+    return StlsSolution(y=best_y, s=_real_layout(best_s, n), iterations=it,
+                        kkt_residual=best_norm, converged=best_norm <= cfg.tol,
+                        trace=tuple(trace))
 
 
 def save_trace(solution: StlsSolution, path) -> None:

@@ -236,13 +236,14 @@ def voltage_coefficient(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Column for edge (i, j) carries V_i - V_j at row i and the negation at
     row j; flipping an edge orientation in h leaves the product with any
-    admittance vector unchanged.
+    admittance vector unchanged. An n-by-tau v gives one n-by-e matrix per
+    operating point, stacked along a trailing axis.
     """
     h = np.asarray(h)
     v = np.asarray(v)
     if h.shape[0] != v.shape[0]:
         raise AlignmentError("incidence matrix and voltage vector disagree on node count")
-    return h * (h.T @ v)
+    return h.reshape(h.shape + (1,) * (v.ndim - 1)) * (h.T @ v)
 
 
 def stack_coefficients(ms: MeasurementSet, h: np.ndarray):

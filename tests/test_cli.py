@@ -83,8 +83,7 @@ def test_noise_roundtrip(tmp_path, cycle5):
     assert not np.array_equal(noisy.points[0].V, clean.points[0].V)
 
 
-def test_sweep_outputs(tmp_path, cycle5, monkeypatch):
-    monkeypatch.setenv("GRIDIDENT_THREADS", "2")
+def test_sweep_outputs(tmp_path, cycle5):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--network", str(cycle5), "--prior", "complete",
                  "--tau", "4:6", "--sigma", "0", "--seeds", "2",
@@ -223,11 +222,17 @@ def test_sweep_row_matches_identify(tmp_path, cycle5, sigma, method):
       "--replicates", "0"], "--replicates"),
     (["sweep", "--tau", "0,4"], "--tau"),
     (["synth", "--tau", "0"], "--tau"),
+    (["sweep", "--tau", "4", "--sigma", "-1"], "--sigma"),
+    (["sweep", "--tau", "4", "--sigma", "nan"], "--sigma"),
+    (["phases", "--spec", "unread.json", "--bus", "b1", "--tau", "3", "--sigma", "-0.5"], "--sigma"),
+    (["phases", "--spec", "unread.json", "--bus", "b1", "--tau", "3", "--sigma", "inf"], "--sigma"),
 ])
 def test_count_flags_below_one_exit_2_before_output(tmp_path, cycle5, capsys, argv, flag):
     out = tmp_path / "out.csv"
     if argv[0] in ("sweep", "synth"):
-        argv = argv + ["--network", str(cycle5), "--out", str(out)]
+        argv = argv + ["--network", str(cycle5)]
+    if argv[0] != "ranktable":
+        argv = argv + ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()

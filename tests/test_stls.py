@@ -3,13 +3,16 @@ import time
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gridident import (NoiseSpec, PriorTopology, SolverConfig, add_noise,
                        complete_graph, constraint_residual, estimate_vector_ls,
-                       incidence_matrix, noise_blocks, plug_in_ols,
-                       random_admittances, realified_coefficient, realify,
-                       save_trace, solve_stls, stack_coefficients, synthesize,
-                       synthesize_independent, voltage_coefficient)
-from gridident.synth import OperatingPoint
+                       incidence_matrix, plug_in_ols, random_admittances,
+                       realified_coefficient, save_trace, solve_stls,
+                       stack_coefficients, synthesize, synthesize_independent,
+                       voltage_coefficient)
+from gridident.stls import _kkt_residual, _newton_matrix, _split_step
 
 
 def _network(n, seed):
@@ -18,25 +21,26 @@ def _network(n, seed):
 
 def test_realify_block_structure():
     net = _network(4, 50)
-    ms = synthesize_independent(net, 1, seed=51)
-    block = realify(incidence_matrix(net.graph), ms.points[0])
+    ms = synthesize_independent(net, 3, seed=51)
+    h = incidence_matrix(net.graph)
+    v = ms.voltage_matrix()
+    a = realified_coefficient(h, v.real, v.imag)
     n, e = 4, 6
-    assert block.a.shape == (2 * n, 2 * e)
-    top_left = block.a[:n, :e]
-    assert np.array_equal(top_left, block.a[n:, e:])
-    assert np.array_equal(block.a[:n, e:], -block.a[n:, :e])
-    assert np.array_equal(block.b, np.concatenate([ms.points[0].I.real,
-                                                   ms.points[0].I.imag]))
+    assert a.shape == (2 * n, 2 * e, 3)
+    top_left = a[:n, :e]
+    assert np.array_equal(top_left, a[n:, e:])
+    assert np.array_equal(a[:n, e:], -a[n:, :e])
+    for k in range(3):  # the trailing axis holds each point's own expansion
+        assert np.array_equal(a[..., k], realified_coefficient(h, v[:, k].real, v[:, k].imag))
 
 
 def test_realify_real_input_reduces_to_real_arithmetic():
     net = _network(3, 52)
     h = incidence_matrix(net.graph)
     v = np.array([1.0, 2.0, -0.5]) + 0j
-    point = OperatingPoint(v, np.zeros(3, dtype=complex), 1)
-    block = realify(h, point)
-    assert np.abs(block.a[:3, 3:]).max() == 0  # no imaginary coupling
-    assert np.array_equal(block.a[:3, :3], voltage_coefficient(h, v).real)
+    a = realified_coefficient(h, v.real, v.imag)
+    assert np.abs(a[:3, 3:]).max() == 0  # no imaginary coupling
+    assert np.array_equal(a[:3, :3], voltage_coefficient(h, v).real)
 
 
 def test_realified_product_matches_complex_product():
@@ -45,58 +49,141 @@ def test_realified_product_matches_complex_product():
     h = incidence_matrix(net.graph)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     y = rng.standard_normal(net.graph.e) + 1j * rng.standard_normal(net.graph.e)
+    y2 = np.concatenate([y.real, y.imag])
     a = realified_coefficient(h, v.real, v.imag)
-    product = a @ np.concatenate([y.real, y.imag])
     expected = voltage_coefficient(h, v) @ y
-    assert np.abs(product - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
+    assert np.abs(a @ y2 - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
+    vs = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    batched = realified_coefficient(h, vs.real, vs.imag)
+    for k in range(4):
+        expected = voltage_coefficient(h, vs[:, k]) @ y
+        assert np.abs(batched[..., k] @ y2
+                      - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
 
 
 def test_realify_zero_voltage():
     net = _network(3, 55)
-    point = OperatingPoint(np.zeros(3, dtype=complex), np.zeros(3, dtype=complex), 1)
-    assert np.abs(realify(incidence_matrix(net.graph), point).a).max() == 0
+    h = incidence_matrix(net.graph)
+    assert np.abs(realified_coefficient(h, np.zeros(3), np.zeros(3))).max() == 0
+    assert np.abs(realified_coefficient(h, np.zeros((3, 2)), np.zeros((3, 2)))).max() == 0
+
+
+def _no_noise(ms):
+    return np.zeros((ms.n, ms.tau), dtype=complex)
 
 
 def test_constraint_residual_zero_at_exact_solution():
     net = _network(4, 56)
-    ms = synthesize_independent(net, 1, seed=57)
+    ms = synthesize_independent(net, 3, seed=57)
     h = incidence_matrix(net.graph)
-    block = realify(h, ms.points[0])
-    g = constraint_residual(block, np.zeros(16), net.y.real, net.y.imag)
+    g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(),
+                            _no_noise(ms), _no_noise(ms), net.y)
+    assert g.shape == (4, 3)
     assert np.abs(g).max() <= 1e-10
 
 
 def test_constraint_residual_zero_parameters():
     net = _network(4, 58)
-    ms = synthesize_independent(net, 1, seed=59)
-    block = realify(incidence_matrix(net.graph), ms.points[0])
-    e = net.graph.e
-    g = constraint_residual(block, np.zeros(16), np.zeros(e), np.zeros(e))
-    assert np.array_equal(g, -block.b)
+    ms = synthesize_independent(net, 3, seed=59)
+    h = incidence_matrix(net.graph)
+    g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(),
+                            _no_noise(ms), _no_noise(ms), np.zeros(net.graph.e, dtype=complex))
+    assert np.array_equal(g, -ms.current_matrix())
 
 
 def test_constraint_residual_matches_complex_recomputation():
     rng = np.random.default_rng(60)
     net = _network(4, 61)
-    n, e = 4, net.graph.e
+    n, e, tau = 4, net.graph.e, 2
     h = incidence_matrix(net.graph)
-    ms = synthesize_independent(net, 1, seed=62)
-    point = ms.points[0]
-    block = realify(h, point)
-    s = rng.standard_normal(4 * n) * 0.01
-    y = rng.standard_normal(e) + 1j * rng.standard_normal(e)
-    g = constraint_residual(block, s, y.real, y.imag)
-    # independent complex-arithmetic recomputation of the noisy equation
+    ms = synthesize_independent(net, tau, seed=62)
+    s = rng.standard_normal((4 * n, tau)) * 0.01
     dv = s[:n] + 1j * s[n:2 * n]
     di = s[2 * n:3 * n] + 1j * s[3 * n:]
-    lhs = voltage_coefficient(h, point.V + dv) @ y - (point.I + di)
-    assert np.abs(g - np.concatenate([lhs.real, lhs.imag])).max() <= 1e-12
+    y = rng.standard_normal(e) + 1j * rng.standard_normal(e)
+    g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(), dv, di, y)
+    # independent per-point recomputation of the noisy equation
+    for k, point in enumerate(ms.points):
+        lhs = voltage_coefficient(h, point.V + dv[:, k]) @ y - (point.I + di[:, k])
+        assert np.abs(g[:, k] - lhs).max() <= 1e-12
 
 
 def test_noise_blocks_length_check():
     net = _network(3, 63)
-    with pytest.raises(ValueError):
-        noise_blocks(incidence_matrix(net.graph), np.zeros(5))
+    h = incidence_matrix(net.graph)
+    ms = synthesize_independent(net, 2, seed=63)
+    v, cur, y = ms.voltage_matrix(), ms.current_matrix(), net.y
+    ok = _no_noise(ms)
+    for dv, di in ((np.zeros((5, 2)), ok), (ok, np.zeros(3)), (ok, np.zeros((3, 3)))):
+        with pytest.raises(ValueError):
+            constraint_residual(h, v, cur, dv, di, y)
+    with pytest.raises(ValueError):  # one point given as a vector, not an n-by-1 array
+        constraint_residual(h, v[:, 0], cur[:, 0], ok[:, 0], ok[:, 0], y)
+    with pytest.raises(ValueError):  # incidence matrix over a different node count
+        constraint_residual(incidence_matrix(complete_graph(4)), v, cur, ok, ok, np.zeros(6))
+
+
+def _kkt_state(kind, seed):
+    """A random noisy problem and a random solver state (s, y, lam) for it."""
+    from gridident import random_tree
+    rng = np.random.default_rng(seed)
+    n, tau = 6, 4
+    prior = {"complete": lambda: PriorTopology.complete(n),
+             "tree": lambda: PriorTopology.tree(random_tree(n, rng)),
+             "minus_one": lambda: PriorTopology.minus_one(n, (2, 5))}[kind]()
+    net = random_admittances(prior.graph, rng)
+    ms = add_noise(synthesize_independent(net, tau, seed=seed), NoiseSpec(0.001), seed=seed)
+    h = incidence_matrix(prior.graph)
+    m = rng.standard_normal((4 * n, 4 * n))
+    w = m @ m.T + 4 * n * np.eye(4 * n)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    state = (0.01 * cplx(2 * n, tau), net.y + 0.1 * cplx(prior.graph.e), cplx(n, tau))
+    return h, ms.voltage_matrix(), ms.current_matrix(), w, state, rng
+
+
+@pytest.mark.parametrize("kind, seed", [("complete", 94), ("tree", 95), ("minus_one", 96)])
+def test_newton_matrix_is_the_residual_jacobian(kind, seed):
+    """The KKT residual is quadratic in (s, y, lam), so central differences are exact."""
+    h, v, cur, w, (s, y, lam), rng = _kkt_state(kind, seed)
+    n, e = h.shape
+    tau = v.shape[1]
+    k = _newton_matrix(h, v, w, s, y, lam)
+    assert k.shape == (tau * 6 * n + 2 * e,) * 2
+    eps = 1e-3
+    for _ in range(3):
+        delta = rng.standard_normal(k.shape[0])
+        ds, dy, dlam = _split_step(eps * delta, n, e, tau)
+        r_plus = _kkt_residual(h, v, cur, w, s + ds, y + dy, lam + dlam)[0]
+        r_minus = _kkt_residual(h, v, cur, w, s - ds, y - dy, lam - dlam)[0]
+        expected = k @ delta
+        assert np.abs((r_plus - r_minus) / (2 * eps) - expected).max() <= \
+            1e-9 * np.abs(expected).max()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 7), tau=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_constraint_residual_is_the_per_point_equation(n, tau, seed):
+    """Every column is that point's noisy regression residual, whatever the edge orientations."""
+    from gridident import random_connected_graph
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(n, rng, 0.5)
+    h = incidence_matrix(graph)
+    e = graph.e
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v, cur, dv, di, y = cplx(n, tau), cplx(n, tau), cplx(n, tau), cplx(n, tau), cplx(e)
+    g = constraint_residual(h, v, cur, dv, di, y)
+    for k in range(tau):
+        expected = voltage_coefficient(h, v[:, k] + dv[:, k]) @ y - (cur[:, k] + di[:, k])
+        assert np.allclose(g[:, k], expected, rtol=1e-12, atol=1e-12)
+    flipped = h * rng.choice([-1.0, 1.0], size=e)
+    assert np.allclose(constraint_residual(flipped, v, cur, dv, di, y), g,
+                       rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("prior_kind", ["complete", "tree", "minus_one"])

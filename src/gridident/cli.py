@@ -28,13 +28,12 @@ from .errors import GridIdentError, NetworkFormatError, SolverFailureError
 from .exact_estimate import PriorTopology, min_measurements
 from .graph_core import incidence_matrix, numerical_rank
 from .netmodel import load_bus_spec, load_network
-from .stls import SolverConfig
 from .synth import (MeasurementSet, NoiseSpec, add_noise, average_snapshots,
                     load_measurements, random_voltage_matrix, save_measurements,
                     synthesize, synthesize_independent, voltage_coefficient)
-from .topo_recover import (DEFAULT_ALPHA, DEFAULT_RELATIVE_ALPHA, METHODS, choose_method,
-                           estimate_topology, identify_phases, identify_topology,
-                           score_topology, solver_outcome, topology_report)
+from .topo_recover import (METHODS, choose_method, estimate_topology, identify_phases,
+                           identify_topology, score_topology, solver_outcome,
+                           topology_report)
 
 METHOD_HELP = ("auto: exact if noiseless, else stls up to 600 unknowns and plugin beyond; "
                "plugin is least squares on the average of --replicates noisy copies "
@@ -108,12 +107,6 @@ def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
     return synthesize(net, tau, seed, v1=v1)
 
 
-def _alpha(args, relative: bool) -> float:
-    if args.alpha is not None:
-        return args.alpha
-    return DEFAULT_RELATIVE_ALPHA if relative else DEFAULT_ALPHA
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ranktable(args) -> int:
@@ -157,9 +150,8 @@ def _sweep_cell(net, prior, tau, seed, args):
     if method == "plugin" and args.sigma > 0:
         noisy = average_snapshots(add_noise(ms, NoiseSpec(args.sigma), [seed, r])
                                   for r in range(args.replicates))
-    relative = args.sigma > 0 if args.relative is None else args.relative
-    est = estimate_topology(prior, _alpha(args, relative), noisy, SolverConfig(),
-                            relative_threshold=relative, method=method)
+    est = estimate_topology(prior, args.alpha, noisy, relative_threshold=args.relative,
+                            method=method)
     score = score_topology(est, net)
     return {
         "tau": tau,
@@ -180,7 +172,6 @@ def cmd_sweep(args) -> int:
     prior = parse_prior(args.prior, net.graph.n)
     seeds = range(args.seeds)
     t0 = time.perf_counter()
-    _progress(f"sweep: {len(taus) * len(seeds)} cells")
     rows = [_sweep_cell(net, prior, tau, seed, args) for tau in taus for seed in seeds]
     rows.sort(key=lambda r: (r["tau"], r["seed"]))
     columns = ["tau", "seed", "total_abs_error_conductance",
@@ -193,7 +184,7 @@ def cmd_sweep(args) -> int:
             fh.write(",".join(
                 str(row[c]) if c in ("tau", "seed") else repr(float(row[c]))
                 for c in columns) + "\n")
-    _progress(f"sweep finished in {time.perf_counter() - t0:.1f}s -> {args.out}")
+    _progress(f"sweep: {len(rows)} cells in {time.perf_counter() - t0:.1f}s -> {args.out}")
     return 0
 
 
@@ -210,8 +201,8 @@ def cmd_identify(args) -> int:
     ms = load_measurements(args.measurements)
     prior = parse_prior(args.prior, ms.n)
     t0 = time.perf_counter()
-    est = identify_topology(prior, ms.n, _alpha(args, args.relative), ms, SolverConfig(),
-                            relative_threshold=args.relative, method=args.method)
+    est = identify_topology(prior, ms.n, args.alpha, ms, relative_threshold=args.relative,
+                            method=args.method)
     score = score_topology(est, load_network(args.truth)) if args.truth else None
     _write_json(topology_report(est, score), args.out)
     _progress(f"identify: {len(est.edges_hat)} edges in {time.perf_counter() - t0:.2f}s")
@@ -229,13 +220,14 @@ def cmd_phases(args) -> int:
             ms = add_noise(ms, NoiseSpec(args.sigma), args.seed)
         return ms
 
-    result = identify_phases(spec, args.bus, builder, SolverConfig(),
-                             alpha=args.alpha, relative_threshold=not args.absolute)
+    result = identify_phases(spec, args.bus, builder, alpha=args.alpha,
+                             relative_threshold=args.relative)
     _write_json({
         "bus": result.bus,
         "connected_phases": sorted(result.connected),
         "incident_magnitude": {p: result.incident_magnitude[p] for p in sorted(result.incident_magnitude)},
         "alpha": float(result.estimate.alpha),
+        "relative": result.estimate.relative,
         "tau": result.estimate.tau,
         **solver_outcome(result.estimate),
     }, args.out)
@@ -243,6 +235,13 @@ def cmd_phases(args) -> int:
 
 
 # -- parser --------------------------------------------------------------------
+
+def _add_threshold_flags(p) -> None:
+    """Passed on unchanged: estimate_topology resolves an unset flag."""
+    p.add_argument("--alpha", type=float, help="threshold cutoff, times the median |y| if relative")
+    p.add_argument("--relative", action=argparse.BooleanOptionalAction,
+                   help="cut relative to the median |y| (default: iff the data are noisy)")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -280,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--method", choices=METHODS, default="auto", help=METHOD_HELP)
     p.add_argument("--replicates", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--relative", action=argparse.BooleanOptionalAction, default=None)
+    _add_threshold_flags(p)
     p.add_argument("--profile", choices=("flat", "generic", "independent"), default="flat")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -289,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="recover a topology from a measurement file")
     p.add_argument("--measurements", required=True)
     p.add_argument("--prior", default="complete")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--relative", action="store_true")
+    _add_threshold_flags(p)
     p.add_argument("--method", choices=METHODS, default="auto", help=METHOD_HELP)
     p.add_argument("--truth", default=None)
     p.add_argument("--out", default=None)
@@ -302,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--sigma", type=float, default=0.001)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=DEFAULT_RELATIVE_ALPHA)
-    p.add_argument("--absolute", action="store_true",
-                   help="treat --alpha as an absolute cutoff instead of a median multiple")
+    _add_threshold_flags(p)
     p.add_argument("--profile", choices=("flat", "generic", "independent"), default="flat")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_phases)

@@ -8,6 +8,7 @@ recovered topologies against a known truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,14 @@ _THRESHOLD_RULES = {
 }
 
 
+def _require_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
+
+
 def threshold(y: np.ndarray, alpha: float) -> np.ndarray:
     """Zero out entries with magnitude below alpha; idempotent, monotone in alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _require_alpha(alpha)
     y = np.array(y, dtype=complex, copy=True)
     y[np.abs(y) < alpha] = 0
     return y
@@ -62,6 +67,7 @@ class TopologyEstimate:
     method: str
     solver: StlsSolution | None = None
     uniqueness: UniquenessDiagnostic | None = None
+    relative: bool = False
 
 
 @dataclass(frozen=True)
@@ -100,15 +106,25 @@ def _effective_alpha(y: np.ndarray, alpha: float, relative: bool) -> float:
     return alpha * float(np.median(np.abs(y))) if y.size else 0.0
 
 
-def estimate_topology(beta: PriorTopology, alpha: float, ms: MeasurementSet,
-                      cfg: SolverConfig | None = None, relative_threshold: bool = False,
+def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementSet,
+                      cfg: SolverConfig | None = None, relative_threshold: bool | None = None,
                       method: str = "auto") -> TopologyEstimate:
-    """identify_topology without its input gates.
+    """identify_topology without its tau and uniqueness gates.
 
+    The one threshold rule: unless relative_threshold says otherwise, the cut
+    is relative (alpha times the median estimated magnitude) iff ms.noisy,
+    and alpha defaults to DEFAULT_RELATIVE_ALPHA or DEFAULT_ALPHA to match.
     Below the identifiability threshold the exact path returns the
     minimum-norm answer. plugin solves the given set exactly; averaging
     replicates is the caller's job.
     """
+    if beta.graph.n != ms.n:
+        raise AlignmentError(
+            f"node counts disagree: prior over {beta.graph.n} nodes, measurements over {ms.n}")
+    relative = ms.noisy if relative_threshold is None else relative_threshold
+    if alpha is None:
+        alpha = DEFAULT_RELATIVE_ALPHA if relative else DEFAULT_ALPHA
+    _require_alpha(alpha)
     method = choose_method(method, ms, beta)
     solver = uniqueness = None
     if method == "stls":
@@ -116,30 +132,27 @@ def estimate_topology(beta: PriorTopology, alpha: float, ms: MeasurementSet,
         y = solver.y
     else:
         y, uniqueness = structured_least_squares(ms, incidence_matrix(beta.graph))
-    eff_alpha = _effective_alpha(y, alpha, relative_threshold)
+    eff_alpha = _effective_alpha(y, alpha, relative)
     y_hat = threshold(y, eff_alpha)
     edges_hat = tuple(edge for edge, val in zip(beta.graph.edges, y_hat) if val != 0)
     return TopologyEstimate(
         y_hat=y_hat, hypothesis=beta.graph, edges_hat=edges_hat,
         graph_hat=NetworkGraph(beta.graph.n, edges_hat), alpha=eff_alpha, tau=ms.tau,
         prior_kind=beta.kind, method="stls" if method == "stls" else "exact", solver=solver,
-        uniqueness=uniqueness)
+        uniqueness=uniqueness, relative=relative)
 
 
-def identify_topology(beta: PriorTopology, n: int, alpha: float, ms: MeasurementSet,
-                      cfg: SolverConfig | None = None, relative_threshold: bool = False,
+def identify_topology(beta: PriorTopology, n: int, alpha: float | None, ms: MeasurementSet,
+                      cfg: SolverConfig | None = None, relative_threshold: bool | None = None,
                       method: str = "auto") -> TopologyEstimate:
     """Estimate, threshold, and extract the recovered edge set.
 
-    The method comes from choose_method. Gates: node counts must agree, tau
-    must reach the prior's threshold, and the exact path raises NonUniqueError
-    unless its stack determines every unknown. With relative_threshold the
-    cutoff is alpha times the median estimated magnitude, which tracks the
-    per-unit scale of the data.
+    The method comes from choose_method and the cut from estimate_topology's
+    threshold rule. Gates: the prior must be over n nodes (min_measurements)
+    and the measurements over the prior's (estimate_topology), tau must reach
+    the prior's threshold, and the exact path raises NonUniqueError unless its
+    stack determines every unknown.
     """
-    if beta.graph.n != n or ms.n != n:
-        raise AlignmentError(
-            f"node counts disagree: prior {beta.graph.n}, measurements {ms.n}, requested {n}")
     needed = min_measurements(beta, n)
     if ms.tau < needed:
         raise InsufficientMeasurementsError(
@@ -193,8 +206,8 @@ class PhaseIdentification:
 
 
 def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder,
-                    cfg: SolverConfig | None = None, alpha: float = DEFAULT_RELATIVE_ALPHA,
-                    relative_threshold: bool = True) -> PhaseIdentification:
+                    cfg: SolverConfig | None = None, alpha: float | None = None,
+                    relative_threshold: bool | None = None) -> PhaseIdentification:
     """Decide which phases of a lateral are electrically connected.
 
     The candidate bus is hypothesized to carry all three phases; same-phase
@@ -203,7 +216,7 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder,
     from the true expanded network, in which the hypothesized-but-absent
     phase nodes exist but carry no edges (their injected current is zero).
     A phase is reported connected when any incident admittance estimate
-    survives thresholding.
+    survives thresholding under estimate_topology's threshold rule.
     """
     buses = spec.bus_map()
     if candidate_bus not in buses:
@@ -272,6 +285,7 @@ def topology_report(est: TopologyEstimate, score: TopologyScore | None = None) -
             if val != 0
         ],
         "alpha": float(est.alpha),
+        "relative": est.relative,
         "tau": est.tau,
         "prior": est.prior_kind,
         "score": None,

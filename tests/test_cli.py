@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from gridident import (NetworkGraph, load_measurements, random_admittances,
                        save_network)
 from gridident.cli import main, parse_prior, parse_tau_list
+
+LATERAL3 = pathlib.Path(__file__).resolve().parents[1] / "networks" / "lateral3_busspec.json"
 
 
 @pytest.fixture()
@@ -248,3 +251,76 @@ def test_malformed_minus_one_prior(capsys, spec):
     assert main(["ranktable", "--n", "5", "--prior", spec, "--tau", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "minus-one:I-J" in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["identify", "sweep", "phases"])
+def test_bad_alpha_exit_2_before_output(tmp_path, cycle5, capsys, command, alpha):
+    out = tmp_path / "out"
+    if command == "identify":
+        ms_path = tmp_path / "ms.csv"
+        main(["synth", "--network", str(cycle5), "--tau", "4", "--out", str(ms_path)])
+        argv = ["identify", "--measurements", str(ms_path)]
+    elif command == "sweep":
+        argv = ["sweep", "--network", str(cycle5), "--tau", "4", "--seeds", "1"]
+    else:
+        argv = ["phases", "--spec", str(LATERAL3), "--bus", "b3", "--tau", "6"]
+    capsys.readouterr()
+    assert main(argv + [f"--alpha={alpha}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: alpha must be finite and nonnegative")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_sweep_node_count_mismatch_exit_2(tmp_path, cycle5, capsys):
+    six = tmp_path / "six.json"
+    save_network(random_admittances(NetworkGraph.from_edges(6, [(k, k + 1) for k in range(1, 6)]),
+                                    np.random.default_rng(202)), six)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--network", str(cycle5), "--prior", f"tree:{six}", "--tau", "2",
+                 "--seeds", "1", "--sigma", "1e-3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: node counts disagree")
+    assert "6 nodes" in captured.err and "over 5" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_identify_threshold_rule_follows_the_data(tmp_path, cycle5):
+    """Unset, the cut is relative iff the file is noisy; --relative/--no-relative override."""
+    clean, noisy = tmp_path / "ms.csv", tmp_path / "noisy.csv"
+    out = tmp_path / "report.json"
+    main(["synth", "--network", str(cycle5), "--tau", "4", "--seed", "3",
+          "--profile", "independent", "--out", str(clean)])
+    main(["noise", "--in", str(clean), "--sigma", "0.001", "--seed", "5", "--out", str(noisy)])
+
+    def run(path, *flags):
+        assert main(["identify", "--measurements", str(path), "--truth", str(cycle5),
+                     "--out", str(out), *flags]) == 0
+        return json.loads(out.read_text())
+
+    default_noisy = run(noisy)
+    assert default_noisy["relative"] is True
+    assert default_noisy == run(noisy, "--relative", "--alpha", "0.01")
+    assert default_noisy["score"]["f1"] == 1.0
+    absolute = run(noisy, "--no-relative")
+    assert absolute["relative"] is False and absolute["alpha"] == 1e-5
+    assert absolute["score"]["f1"] < 1.0  # 1e-5 keeps every noisy hypothesis edge
+    default_clean = run(clean)
+    assert default_clean["relative"] is False and default_clean["alpha"] == 1e-5
+    assert run(clean, "--relative")["relative"] is True
+
+
+@pytest.mark.parametrize("sigma, flags, relative, phases", [
+    ("0.001", [], True, "bc"), ("0", [], False, "bc"), ("0", ["--relative"], True, "bc"),
+    ("0.001", ["--no-relative"], False, "abc")])  # 1e-5 keeps the noise on phase a
+def test_phases_threshold_rule_follows_the_data(tmp_path, sigma, flags, relative, phases):
+    out = tmp_path / "phases.json"
+    assert main(["phases", "--spec", str(LATERAL3), "--bus", "b3", "--tau", "6",
+                 "--sigma", sigma, "--profile", "independent", "--out", str(out), *flags]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["relative"] is relative
+    assert payload["connected_phases"] == list(phases)
+    if not relative:
+        assert payload["alpha"] == 1e-5

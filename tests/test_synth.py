@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, AlignmentError, MeasurementSet,
                        NetworkGraph, NoiseSpec, OperatingPoint, add_noise,
@@ -99,6 +101,23 @@ def test_synthesize_independent_prefix():
     short = synthesize_independent(net, 2, seed=8)
     for k in range(2):
         assert np.array_equal(long.points[k].V, short.points[k].V)
+
+
+def _noisy(make):
+    return lambda net, tau, seed: add_noise(make(net, tau, seed), NoiseSpec(1e-3), [seed, 1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 8), tau=st.integers(1, 5), extra=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_tau_prefix_is_bit_exact(n, tau, extra, seed):
+    """The first tau points of a longer set equal a tau-point set, V and I, bit for bit."""
+    net = _net(n, [29, seed])
+    for make in (synthesize, synthesize_independent, _noisy(synthesize),
+                 _noisy(synthesize_independent)):
+        long, short = make(net, tau + extra, seed), make(net, tau, seed)
+        assert np.array_equal(long.voltage_matrix()[:, :tau], short.voltage_matrix())
+        assert np.array_equal(long.current_matrix()[:, :tau], short.current_matrix())
 
 
 def test_add_noise_zero_scale_identity():

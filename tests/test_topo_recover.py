@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, AlignmentError, Branch, Bus, BusSpec,
-                       Coupling, InsufficientMeasurementsError, NetworkGraph,
-                       NoiseSpec, PriorTopology, add_noise, complete_graph,
-                       identify_phases, identify_topology, random_admittances,
+                       Coupling, InsufficientMeasurementsError, MeasurementSet,
+                       NetworkGraph, NoiseSpec, OperatingPoint, PriorTopology,
+                       add_noise, complete_graph, estimate_topology, identify_phases,
+                       identify_topology, random_admittances, random_connected_graph,
                        random_tree, score_topology, synthesize_independent,
                        threshold, topology_report)
+from gridident import topo_recover
 
 
 def test_threshold_zero_alpha_identity():
@@ -29,6 +33,12 @@ def test_threshold_idempotent_and_monotone():
     assert small <= large
     with pytest.raises(ValueError):
         threshold(y, -1.0)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+def test_threshold_rejects_non_finite_or_negative_alpha(alpha):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        threshold(np.array([1e-6, 2 + 0j]), alpha)
 
 
 def _cycle_network(n, seed):
@@ -233,3 +243,65 @@ def test_solver_outcome_names_the_exact_solve():
     stls = solver_outcome(identify_topology(prior, 5, 0.01, noisy, relative_threshold=True))
     assert stls["method"] == "stls"
     assert (stls["rank"], stls["unknowns"], stls["gram_rcond"]) == (None, None, None)
+
+
+def test_threshold_rule_is_relative_iff_noisy():
+    """Unset, relative follows ms.noisy and alpha the matching default; set, both pass through."""
+    net = _cycle_network(5, 134)
+    prior = PriorTopology.complete(5)
+    clean = synthesize_independent(net, 4, seed=135)
+    noisy = add_noise(clean, NoiseSpec(0.001), seed=136)
+    est = estimate_topology(prior, None, clean)
+    assert not est.relative and est.alpha == topo_recover.DEFAULT_ALPHA
+    est = estimate_topology(prior, None, noisy)
+    median = float(np.median(np.abs(est.solver.y)))
+    assert est.relative and est.alpha == topo_recover.DEFAULT_RELATIVE_ALPHA * median
+    assert estimate_topology(prior, 0.5, noisy, relative_threshold=False).alpha == 0.5
+    est = estimate_topology(prior, None, clean, relative_threshold=True)
+    assert est.relative and est.alpha > topo_recover.DEFAULT_ALPHA
+    assert topology_report(est)["relative"] is True
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+def test_estimate_rejects_bad_alpha_before_the_solve(monkeypatch, alpha):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking alpha")
+    monkeypatch.setattr(topo_recover, "structured_least_squares", no_solve)
+    ms = synthesize_independent(_cycle_network(5, 137), 4, seed=138)
+    with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+        estimate_topology(PriorTopology.complete(5), alpha, ms)
+
+
+def test_estimate_rejects_node_count_mismatch():
+    ms = synthesize_independent(_cycle_network(5, 139), 4, seed=140)
+    with pytest.raises(AlignmentError, match="prior over 6 nodes, measurements over 5"):
+        estimate_topology(PriorTopology.complete(6), None, ms)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(4, 8), sigma=st.sampled_from((0.0, 1e-3)), seed=st.integers(0, 2**16))
+def test_identify_is_node_permutation_equivariant(n, sigma, seed):
+    """Relabelling the nodes relabels y and the edges, on the exact and the STLS path."""
+    rng = np.random.default_rng([141, seed])
+    net = random_admittances(random_connected_graph(n, rng, 0.6), rng)
+    ms = synthesize_independent(net, n - 1, seed=[142, seed])
+    if sigma:
+        ms = add_noise(ms, NoiseSpec(sigma), seed=[143, seed])
+    perm = rng.permutation(n)  # node k + 1 becomes node perm[k] + 1
+    inverse = np.argsort(perm)
+    relabelled = MeasurementSet(
+        tuple(OperatingPoint(p.V[inverse], p.I[inverse], p.k) for p in ms.points),
+        noisy=ms.noisy)
+    prior = PriorTopology.complete(n)
+    est = identify_topology(prior, n, None, ms)
+    est_p = identify_topology(prior, n, None, relabelled)
+    assert est.method == est_p.method == ("stls" if sigma else "exact")
+
+    def move(edge):
+        i, j = sorted((perm[edge[0] - 1] + 1, perm[edge[1] - 1] + 1))
+        return int(i), int(j)
+
+    idx = prior.graph.edge_index()
+    moved = np.array([est_p.y_hat[idx[move(edge)]] for edge in prior.graph.edges])
+    np.testing.assert_allclose(moved, est.y_hat, rtol=1e-9, atol=0)
+    assert {move(edge) for edge in est.edges_hat} == set(est_p.edges_hat)

@@ -9,14 +9,16 @@ Subcommands only parse arguments and format output. identify and phases
 estimate with topo_recover.identify_topology; sweep cells with its ungated
 core, estimate_topology, to record errors below the identifiability threshold.
 
-Data goes to standard output or files; progress and timing go to standard
-error. Exit codes: 0 success, 2 precondition violation, 3 input format
-error, 4 solver failure.
+Data goes to standard output or files: identify and phases write one JSON
+object with sorted keys on one line, sweep a CSV with '#' header lines.
+Progress and timing go to standard error. Exit codes: 0 success, 2
+precondition violation, 3 input format error, 4 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,7 +26,7 @@ import time
 
 import numpy as np
 
-from .errors import GridIdentError, NetworkFormatError, SolverFailureError
+from .errors import AlignmentError, GridIdentError, NetworkFormatError, SolverFailureError
 from .exact_estimate import PriorTopology, min_measurements
 from .graph_core import incidence_matrix, numerical_rank
 from .netmodel import load_bus_spec, load_network
@@ -111,6 +113,9 @@ def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
 
 def cmd_ranktable(args) -> int:
     prior = parse_prior(args.prior, args.n)
+    if prior.graph.n != args.n:
+        raise AlignmentError(
+            f"node counts disagree: prior over {prior.graph.n} nodes, --n {args.n}")
     taus = parse_tau_list(args.tau)
     h = incidence_matrix(prior.graph)
     unknowns = prior.graph.e
@@ -189,7 +194,7 @@ def cmd_sweep(args) -> int:
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"  # no indent: keeps json's C encoder
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -243,7 +248,9 @@ def _add_threshold_flags(p) -> None:
                    help="cut relative to the median |y| (default: iff the data are noisy)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gridident",
         description="Identify electric-network topology and admittances from phasor snapshots.")

@@ -193,22 +193,16 @@ def predicted_rank_minus_one_edge(n: int, tau: int) -> int:
     return n * tau - trivial_motion_count(tau)
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float | None = None) -> int:
-    """Count of singular values above rel_tol * sigma_max.
+def numerical_rank(m: np.ndarray) -> int:
+    """Count of singular values above max(rows, cols) * machine epsilon * sigma_max.
 
-    Default tolerance max(rows, cols) * machine epsilon, the standard robust
-    choice for deciding integer rank from floating-point data.
+    numpy's matrix_rank default, the standard robust choice for deciding
+    integer rank from floating-point data; an empty matrix has no rank.
     """
     m = np.asarray(m)
     if m.size == 0:
         raise ValueError("matrix is empty")
-    svals = np.linalg.svd(m, compute_uv=False)
-    smax = svals.max(initial=0.0)
-    if smax == 0.0:
-        return 0
-    if rel_tol is None:
-        rel_tol = max(m.shape) * np.finfo(np.float64).eps
-    return int(np.count_nonzero(svals > rel_tol * smax))
+    return int(np.linalg.matrix_rank(m))
 
 
 def stack_to_rigidity_permutation(n: int, tau: int) -> np.ndarray:

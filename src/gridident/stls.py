@@ -2,11 +2,12 @@
 
 Operating point k obeys H((H^T(V_k + dV_k)) * y) = I_k + dI_k: the voltage
 noise dV enters the coefficient matrix through the same incidence structure
-as the voltages themselves. solve_stls minimizes the weighted squared noise
-subject to that equation at every point by Newton iteration on the KKT
-residual of the Lagrangian. The residual is formed for all points at once in
-complex arithmetic on n-by-tau arrays, with constraint_residual as the
-constraint; only the Newton matrix and its step are real, in the layout
+as the voltages themselves. solve_stls minimizes the squared noise subject
+to that equation at every point by Newton iteration on the KKT residual of
+the Lagrangian. The residual, including the 2n-by-tau complex noise
+solve_stls returns, is formed for all points at once in complex arithmetic
+on n-by-tau arrays, with constraint_residual as the constraint; only the
+Newton matrix and its step are real, in the layout
 [per-point noise, real admittance parts, per-point multipliers] that the
 sparse LU factors. The plug-in ordinary least squares estimator averages
 replicate snapshots before one plain regression; topo_recover.choose_method
@@ -34,36 +35,12 @@ _DAMPING_CAP = 1e8
 _DEFICIENT_DAMPING = 1e-6
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the Newton-on-KKT solve.
-
-    weight: symmetric positive-definite 4n-by-4n penalty on each per-point
-    noise vector (identity when None). tol: infinity-norm stopping tolerance
-    on the full KKT residual. damping: initial diagonal shift, escalated
-    automatically whenever the step system is numerically singular.
-    """
-
-    weight: np.ndarray | None = None
-    tol: float = 1e-5
-    max_iter: int = 50
-    damping: float = 0.0
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class StlsSolution:
     """Estimated admittances plus per-point noise estimates and solver diagnostics.
 
-    s has one row per operating point: the real then imaginary parts of the
-    voltage noise, then those of the current noise.
+    s is the 2n-by-tau complex noise, one column per operating point: the
+    voltage noise over the current noise.
     """
 
     y: np.ndarray
@@ -75,7 +52,7 @@ class StlsSolution:
 
     @property
     def objective(self) -> float:
-        return 0.5 * float(np.sum(self.s * self.s))
+        return 0.5 * float(np.vdot(self.s, self.s).real)
 
 
 def realified_coefficient(h: np.ndarray, v_re: np.ndarray, v_im: np.ndarray) -> np.ndarray:
@@ -128,25 +105,25 @@ def _split_step(step: np.ndarray, n: int, e: int, tau: int):
             _complex_layout(step[ns + 2 * e:].reshape(tau, 2 * n), n))
 
 
-def _kkt_residual(h, v, cur, w, s, y, lam):
+def _kkt_residual(h, v, cur, s, y, lam):
     """Stationarity-plus-feasibility residual of the Lagrangian, and the constraint's max-norm.
 
     s is the 2n-by-tau complex noise (voltage rows over current rows), y the
     complex admittances, lam the n-by-tau complex multipliers. The residual is
     returned in the real layout the Newton matrix uses: every point's noise
-    stationarity (4n), then the parameter stationarity (real, imaginary),
-    then every point's constraint (2n).
+    stationarity s + [conj(Lap) lam; -lam] (4n), then the parameter
+    stationarity (real, imaginary), then every point's constraint (2n).
     """
     n = h.shape[0]
     g = _real_layout(constraint_residual(h, v, cur, s[:n], s[n:], y), n)
     lap = (h * y) @ h.T  # H diag(y) H^T, complex symmetric
-    f_s = _real_layout(s, n) @ w.T + _real_layout(np.vstack([lap.conj() @ lam, -lam]), n)
+    f_s = _real_layout(s + np.vstack([lap.conj() @ lam, -lam]), n)
     f_y = _stack_adjoint(h, h.T @ (v + s[:n]), lam)
     resid = np.concatenate([f_s.ravel(), f_y.real, f_y.imag, g.ravel()])
     return resid, float(np.abs(g).max())
 
 
-def _newton_matrix(h, v, w, s, y, lam):
+def _newton_matrix(h, v, s, y, lam):
     """Exact Jacobian of _kkt_residual in its real layout; the constraint is bilinear."""
     n, e = h.shape
     tau = v.shape[1]
@@ -164,9 +141,8 @@ def _newton_matrix(h, v, w, s, y, lam):
     # d(constraint)/d(noise), transposed; the same block for every point
     js_t = sp.csr_matrix(np.vstack([np.block([[lap.real, lap.imag], [-lap.imag, lap.real]]),
                                     -np.eye(2 * n)]))
-    sw = sp.kron(sp.identity(tau), w, format="csr")
     jst_all = sp.kron(sp.identity(tau), js_t, format="csr")
-    return sp.bmat([[sw, p, jst_all],
+    return sp.bmat([[sp.identity(tau * 4 * n, format="csr"), p, jst_all],
                     [p.T, None, jy.T],
                     [jst_all.T, jy, None]], format="csc")
 
@@ -195,77 +171,64 @@ def _damped_solve(matrix, rhs, mu: float):
                 f"step system stayed singular up to damping {_DAMPING_CAP:g}")
 
 
-def _weight_matrix(cfg: SolverConfig, size: int) -> np.ndarray:
-    if cfg.weight is None:
-        return np.eye(size)
-    w = np.asarray(cfg.weight, dtype=float)
-    if w.shape != (size, size):
-        raise ValueError(f"weight matrix must be {size}x{size}, got {w.shape}")
-    if float(np.abs(w - w.T).max()) > 1e-10 * max(1.0, float(np.abs(w).max())):
-        raise ValueError("weight matrix must be symmetric")
-    try:
-        np.linalg.cholesky(w)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("weight matrix must be positive definite") from exc
-    return w
-
-
-def solve_stls(ms: MeasurementSet, prior: PriorTopology,
-               cfg: SolverConfig | None = None) -> StlsSolution:
+def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
+               max_iter: int = 50) -> StlsSolution:
     """Estimate edge admittances from noisy measurements under structured noise.
 
-    Minimizes the weighted squared noise over all per-point noise vectors
-    subject to every noisy regression equation holding exactly, via full
-    Newton steps on the stationarity-plus-feasibility residual of the
-    Lagrangian. The constraint is bilinear in (noise, parameters), so the
-    Jacobian assembled here is exact.
+    Minimizes the squared noise over all per-point noise vectors subject to
+    every noisy regression equation holding exactly, via full Newton steps on
+    the stationarity-plus-feasibility residual of the Lagrangian. The
+    constraint is bilinear in (noise, parameters), so the Jacobian assembled
+    here is exact.
 
     Starts from the ordinary least-squares parameters with zero noise and
     multipliers. Returns a non-converged solution (never a silent success)
-    if the residual is still above tolerance after max_iter steps; raises
-    SolverFailureError only when the step system stays singular through the
-    damping escalation.
+    if the infinity norm of the KKT residual is still above tol after
+    max_iter steps; raises SolverFailureError only when the step system stays
+    singular through the damping escalation.
     """
-    cfg = cfg or SolverConfig()
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     h = incidence_matrix(prior.graph)
     n, e_hat = h.shape
     tau = ms.tau
-    w = _weight_matrix(cfg, 4 * n)
     v, cur = ms.voltage_matrix(), ms.current_matrix()
 
     y, rank_diag = structured_least_squares(ms, h)
-    mu = cfg.damping
+    mu = 0.0
     if not rank_diag.unique:
         # the KKT system is singular along the unidentifiable directions;
         # regularize so the factorization stays well defined
         warnings.warn(
             f"coefficient matrix rank {rank_diag.rank} < {e_hat} unknowns; "
             f"the estimate cannot be unique", stacklevel=2)
-        mu = max(mu, _DEFICIENT_DAMPING)
+        mu = _DEFICIENT_DAMPING
 
     s = np.zeros((2 * n, tau), dtype=complex)
     lam = np.zeros((n, tau), dtype=complex)
-    resid, g_norm = _kkt_residual(h, v, cur, w, s, y, lam)
+    resid, g_norm = _kkt_residual(h, v, cur, s, y, lam)
     r_norm = float(np.abs(resid).max())
     trace = [(0, r_norm, g_norm, 0.0)]
     best = (r_norm, s.copy(), y.copy())
     it = 0
-    while r_norm > cfg.tol and it < cfg.max_iter:
-        step, mu = _damped_solve(_newton_matrix(h, v, w, s, y, lam), -resid, mu)
+    while r_norm > tol and it < max_iter:
+        step, mu = _damped_solve(_newton_matrix(h, v, s, y, lam), -resid, mu)
         ds, dy, dlam = _split_step(step, n, e_hat, tau)
         s += ds
         y += dy
         lam += dlam
         it += 1
-        resid, g_norm = _kkt_residual(h, v, cur, w, s, y, lam)
+        resid, g_norm = _kkt_residual(h, v, cur, s, y, lam)
         r_norm = float(np.abs(resid).max())
         trace.append((it, r_norm, g_norm, float(np.abs(step).max())))
         if r_norm < best[0]:
             best = (r_norm, s.copy(), y.copy())
 
     best_norm, best_s, best_y = best
-    return StlsSolution(y=best_y, s=_real_layout(best_s, n), iterations=it,
-                        kkt_residual=best_norm, converged=best_norm <= cfg.tol,
+    return StlsSolution(y=best_y, s=best_s, iterations=it,
+                        kkt_residual=best_norm, converged=best_norm <= tol,
                         trace=tuple(trace))
 
 

@@ -18,7 +18,7 @@ from .exact_estimate import (PriorTopology, UniquenessDiagnostic, min_measuremen
                              require_unique, structured_least_squares)
 from .graph_core import Edge, NetworkGraph, incidence_matrix
 from .netmodel import AdmittanceNetwork, Bus, BusSpec, phase_expand, phase_node_map, PHASES
-from .stls import SolverConfig, StlsSolution, solve_stls
+from .stls import StlsSolution, solve_stls
 from .synth import MeasurementSet
 
 DEFAULT_ALPHA = 1e-5
@@ -107,7 +107,7 @@ def _effective_alpha(y: np.ndarray, alpha: float, relative: bool) -> float:
 
 
 def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementSet,
-                      cfg: SolverConfig | None = None, relative_threshold: bool | None = None,
+                      relative_threshold: bool | None = None,
                       method: str = "auto") -> TopologyEstimate:
     """identify_topology without its tau and uniqueness gates.
 
@@ -128,7 +128,7 @@ def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementS
     method = choose_method(method, ms, beta)
     solver = uniqueness = None
     if method == "stls":
-        solver = solve_stls(ms, beta, cfg)
+        solver = solve_stls(ms, beta)
         y = solver.y
     else:
         y, uniqueness = structured_least_squares(ms, incidence_matrix(beta.graph))
@@ -143,7 +143,7 @@ def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementS
 
 
 def identify_topology(beta: PriorTopology, n: int, alpha: float | None, ms: MeasurementSet,
-                      cfg: SolverConfig | None = None, relative_threshold: bool | None = None,
+                      relative_threshold: bool | None = None,
                       method: str = "auto") -> TopologyEstimate:
     """Estimate, threshold, and extract the recovered edge set.
 
@@ -158,7 +158,7 @@ def identify_topology(beta: PriorTopology, n: int, alpha: float | None, ms: Meas
         raise InsufficientMeasurementsError(
             f"{ms.tau} operating points supplied but {needed} required: "
             f"{_THRESHOLD_RULES[beta.kind]}")
-    est = estimate_topology(beta, alpha, ms, cfg, relative_threshold, method)
+    est = estimate_topology(beta, alpha, ms, relative_threshold, method)
     require_unique(est.uniqueness)
     return est
 
@@ -205,8 +205,7 @@ class PhaseIdentification:
     estimate: TopologyEstimate
 
 
-def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder,
-                    cfg: SolverConfig | None = None, alpha: float | None = None,
+def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder, alpha: float | None = None,
                     relative_threshold: bool | None = None) -> PhaseIdentification:
     """Decide which phases of a lateral are electrically connected.
 
@@ -245,7 +244,7 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder,
     prior = PriorTopology.explicit(NetworkGraph.from_edges(n, hyp_edges))
 
     ms = ms_builder(true_net)
-    est = identify_topology(prior, n, alpha, ms, cfg, relative_threshold=relative_threshold)
+    est = identify_topology(prior, n, alpha, ms, relative_threshold=relative_threshold)
 
     est_map = dict(zip(est.hypothesis.edges, est.y_hat))
     incident_magnitude = {}

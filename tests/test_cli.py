@@ -253,6 +253,14 @@ def test_malformed_minus_one_prior(capsys, spec):
     assert captured.out == "" and "minus-one:I-J" in captured.err
 
 
+def test_ranktable_prior_over_other_node_count_exit_2_before_output(capsys, cycle5):
+    assert main(["ranktable", "--n", "4", "--prior", f"file:{cycle5}", "--tau", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "5 nodes" in captured.err and "--n 4" in captured.err
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["identify", "sweep", "phases"])
 def test_bad_alpha_exit_2_before_output(tmp_path, cycle5, capsys, command, alpha):

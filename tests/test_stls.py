@@ -1,3 +1,4 @@
+import pathlib
 import time
 
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridident import (NoiseSpec, PriorTopology, SolverConfig, add_noise,
-                       complete_graph, constraint_residual, estimate_vector_ls,
-                       incidence_matrix, plug_in_ols, random_admittances,
-                       realified_coefficient, save_trace, solve_stls,
-                       stack_coefficients, synthesize, synthesize_independent,
-                       voltage_coefficient)
+from gridident import (NoiseSpec, PriorTopology, add_noise, complete_graph,
+                       constraint_residual, estimate_vector_ls, incidence_matrix,
+                       plug_in_ols, random_admittances, realified_coefficient,
+                       save_trace, solve_stls, stack_coefficients, synthesize,
+                       synthesize_independent, voltage_coefficient)
 from gridident.stls import _kkt_residual, _newton_matrix, _split_step
 
 
@@ -134,30 +134,28 @@ def _kkt_state(kind, seed):
     net = random_admittances(prior.graph, rng)
     ms = add_noise(synthesize_independent(net, tau, seed=seed), NoiseSpec(0.001), seed=seed)
     h = incidence_matrix(prior.graph)
-    m = rng.standard_normal((4 * n, 4 * n))
-    w = m @ m.T + 4 * n * np.eye(4 * n)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     state = (0.01 * cplx(2 * n, tau), net.y + 0.1 * cplx(prior.graph.e), cplx(n, tau))
-    return h, ms.voltage_matrix(), ms.current_matrix(), w, state, rng
+    return h, ms.voltage_matrix(), ms.current_matrix(), state, rng
 
 
 @pytest.mark.parametrize("kind, seed", [("complete", 94), ("tree", 95), ("minus_one", 96)])
 def test_newton_matrix_is_the_residual_jacobian(kind, seed):
     """The KKT residual is quadratic in (s, y, lam), so central differences are exact."""
-    h, v, cur, w, (s, y, lam), rng = _kkt_state(kind, seed)
+    h, v, cur, (s, y, lam), rng = _kkt_state(kind, seed)
     n, e = h.shape
     tau = v.shape[1]
-    k = _newton_matrix(h, v, w, s, y, lam)
+    k = _newton_matrix(h, v, s, y, lam)
     assert k.shape == (tau * 6 * n + 2 * e,) * 2
     eps = 1e-3
     for _ in range(3):
         delta = rng.standard_normal(k.shape[0])
         ds, dy, dlam = _split_step(eps * delta, n, e, tau)
-        r_plus = _kkt_residual(h, v, cur, w, s + ds, y + dy, lam + dlam)[0]
-        r_minus = _kkt_residual(h, v, cur, w, s - ds, y - dy, lam - dlam)[0]
+        r_plus = _kkt_residual(h, v, cur, s + ds, y + dy, lam + dlam)[0]
+        r_minus = _kkt_residual(h, v, cur, s - ds, y - dy, lam - dlam)[0]
         expected = k @ delta
         assert np.abs((r_plus - r_minus) / (2 * eps) - expected).max() <= \
             1e-9 * np.abs(expected).max()
@@ -210,25 +208,59 @@ def test_zero_noise_degeneracy(prior_kind):
     assert np.linalg.norm(sol.s) <= 1e-6 * scale
 
 
-def test_weight_scaling_leaves_solution_unchanged():
-    n = 5
-    prior = PriorTopology.complete(n)
-    net = _network(n, 66)
-    ms = add_noise(synthesize_independent(net, n - 1, seed=67), NoiseSpec(0.001), seed=68)
-    base = solve_stls(ms, prior, SolverConfig())
-    scaled = solve_stls(ms, prior, SolverConfig(weight=3.0 * np.eye(4 * n)))
-    assert np.allclose(scaled.y, base.y, rtol=1e-6)
-
-
-def test_weight_validation():
+def test_tol_must_be_positive():
     n = 4
     prior = PriorTopology.complete(n)
-    net = _network(n, 69)
-    ms = synthesize_independent(net, n - 1, seed=70)
-    with pytest.raises(ValueError):
-        solve_stls(ms, prior, SolverConfig(weight=np.eye(3)))
-    with pytest.raises(ValueError):
-        solve_stls(ms, prior, SolverConfig(weight=-np.eye(4 * n)))
+    ms = synthesize_independent(_network(n, 69), n - 1, seed=70)
+    for tol in (0.0, -1e-5, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_stls(ms, prior, tol=tol)
+
+
+def test_max_iter_must_be_nonnegative():
+    n = 4
+    prior = PriorTopology.complete(n)
+    ms = synthesize_independent(_network(n, 69), n - 1, seed=70)
+    with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+        solve_stls(ms, prior, max_iter=-1)
+
+
+def _closed_form_input(network, tau):
+    """Noisy measurements of a network file (mesh14 under its minus-one:1-8 prior, tree123
+    under its tree prior) or of a random complete6 network under the complete prior."""
+    from gridident import load_network
+    if network == "complete6":
+        net, prior = _network(6, 97), PriorTopology.complete(6)
+    else:
+        net = load_network(pathlib.Path(__file__).resolve().parents[1] / "networks"
+                           / f"{network}.json")
+        prior = (PriorTopology.tree(net.graph) if network == "tree123"
+                 else PriorTopology.minus_one(net.graph.n, (1, 8)))
+    ms = add_noise(synthesize_independent(net, tau, seed=98), NoiseSpec(0.001), seed=99)
+    return ms, prior
+
+
+@pytest.mark.parametrize("network, tau", [("mesh14", 12), ("tree123", 1), ("tree123", 5),
+                                          ("complete6", 5), ("complete6", 2)])
+@pytest.mark.filterwarnings("ignore:coefficient matrix rank")  # complete6 at tau 2
+def test_returned_noise_is_the_minimal_noise_for_the_returned_y(network, tau):
+    """For fixed y the noise enters linearly: dI = K and dV = -conj(Y) K.
+
+    Here K = (I + Y Y^H)^-1 (Y V - I) with Y = H diag(y) H^T, and the objective
+    is half the sum of Re(r^H K) over the points' residuals r = Y V - I.
+    """
+    ms, prior = _closed_form_input(network, tau)
+    sol = solve_stls(ms, prior, tol=1e-11)
+    h = incidence_matrix(prior.graph)
+    n = h.shape[0]
+    lap = (h * sol.y) @ h.T
+    r = lap @ ms.voltage_matrix() - ms.current_matrix()
+    k = np.linalg.solve(np.eye(n) + lap @ lap.conj().T, r)
+    scale = np.abs(sol.s).max()
+    assert np.abs(sol.s[n:] - k).max() <= 1e-8 * scale
+    assert np.abs(sol.s[:n] + lap.conj() @ k).max() <= 1e-8 * scale
+    projected = 0.5 * float(np.sum((r.conj() * k).real))
+    assert abs(sol.objective - projected) <= 1e-10 * projected
 
 
 def test_noisy_solve_converges_and_improves():
@@ -262,7 +294,7 @@ def test_residual_never_worse_than_initial():
     prior = PriorTopology.complete(n)
     net = _network(n, 77)
     ms = add_noise(synthesize_independent(net, n - 1, seed=78), NoiseSpec(0.001), seed=79)
-    sol = solve_stls(ms, prior, SolverConfig(max_iter=1))
+    sol = solve_stls(ms, prior, max_iter=1)
     assert sol.kkt_residual <= sol.trace[0][1]
 
 
@@ -271,7 +303,7 @@ def test_non_convergence_is_flagged():
     prior = PriorTopology.complete(n)
     net = _network(n, 80)
     ms = add_noise(synthesize_independent(net, n - 1, seed=81), NoiseSpec(0.001), seed=82)
-    sol = solve_stls(ms, prior, SolverConfig(max_iter=0))
+    sol = solve_stls(ms, prior, max_iter=0)
     assert not sol.converged
     assert sol.kkt_residual > 1e-5
 
@@ -320,6 +352,6 @@ def test_plug_in_is_fast_where_structured_solve_is_not():
     plug_in_ols(reps, prior)
     t_plugin = time.perf_counter() - t0
     t0 = time.perf_counter()
-    solve_stls(reps[0], prior, SolverConfig(max_iter=1))
+    solve_stls(reps[0], prior, max_iter=1)
     t_one_newton_step = time.perf_counter() - t0
     assert t_plugin < t_one_newton_step

@@ -27,8 +27,8 @@ import time
 import numpy as np
 
 from .errors import AlignmentError, GridIdentError, NetworkFormatError, SolverFailureError
-from .exact_estimate import PriorTopology, min_measurements
-from .graph_core import incidence_matrix, numerical_rank
+from .exact_estimate import PriorTopology, min_measurements, uniqueness_diagnostic
+from .graph_core import incidence_matrix
 from .netmodel import load_bus_spec, load_network
 from .synth import (MeasurementSet, NoiseSpec, add_noise, average_snapshots,
                     load_measurements, random_voltage_matrix, save_measurements,
@@ -118,14 +118,13 @@ def cmd_ranktable(args) -> int:
             f"node counts disagree: prior over {prior.graph.n} nodes, --n {args.n}")
     taus = parse_tau_list(args.tau)
     h = incidence_matrix(prior.graph)
-    unknowns = prior.graph.e
     print(f"{'tau':>5} {'rank':>7} {'unknowns':>9} {'unique':>7}")
     for tau in taus:
         t0 = time.perf_counter()
         v = random_voltage_matrix(args.n, tau, np.random.default_rng([args.seed, 2, tau]))
         a = np.vstack([voltage_coefficient(h, v[:, k]) for k in range(tau)])
-        rank = numerical_rank(a)
-        print(f"{tau:>5} {rank:>7} {unknowns:>9} {'yes' if rank == unknowns else 'no':>7}")
+        d = uniqueness_diagnostic(a, prior.graph.e)
+        print(f"{tau:>5} {d.rank:>7} {d.unknowns:>9} {'yes' if d.unique else 'no':>7}")
         _progress(f"ranktable tau={tau}: {time.perf_counter() - t0:.2f}s")
     return 0
 

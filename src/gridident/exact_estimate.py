@@ -1,8 +1,8 @@
 """Noise-free estimators and identifiability diagnostics.
 
 The reduced-system solve for complete hypotheses, the least-squares route for
-arbitrary hypothesis graphs, rank/uniqueness diagnostics, and the
-minimum-measurement thresholds for each kind of prior topology information.
+arbitrary hypothesis graphs, and the one identifiability rule: each prior's tau
+threshold (require_measurements) and every solve's rank (require_unique).
 
 The least-squares route has two paths. structured_least_squares is the fast
 one: it solves the e-by-e normal equations by Cholesky without building the
@@ -19,12 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, lapack
 
-from .errors import HeuristicBoundWarning, NonUniqueError, OutOfRegimeError
+from .errors import (HeuristicBoundWarning, InsufficientMeasurementsError, NonUniqueError,
+                     OutOfRegimeError)
 from .graph_core import (Edge, NetworkGraph, complete_graph, is_tree,
                          numerical_rank, remove_edge)
 from .synth import MeasurementSet, stack_coefficients
 
 PRIOR_KINDS = ("none", "tree", "minus_one_edge", "explicit_graph")
+
+_THRESHOLD_RULES = {
+    "none": "with no prior topology information a unique solution needs tau >= n-1",
+    "tree": "a known tree topology needs tau >= 1",
+    "minus_one_edge": "a known missing edge needs tau >= n-2 (n >= 4)",
+    "explicit_graph": "heuristic lower bound ceil(e/n) for an explicit hypothesis",
+}
 
 # Smallest LAPACK reciprocal condition estimate of the Gram matrix that the
 # Cholesky path accepts. kappa(G) = kappa(A)^2 for the stack A, so this keeps
@@ -120,6 +128,14 @@ def min_measurements(prior: PriorTopology, n: int) -> int:
     return bound
 
 
+def require_measurements(prior: PriorTopology, n: int, tau: int) -> None:
+    """Raise InsufficientMeasurementsError, naming the prior's rule, below min_measurements."""
+    needed = min_measurements(prior, n)
+    if tau < needed:
+        raise InsufficientMeasurementsError(f"{tau} operating points supplied but {needed} "
+                                            f"required: {_THRESHOLD_RULES[prior.kind]}")
+
+
 def build_reduced_measurements(ms: MeasurementSet, v1_slack: complex | None = None):
     """Slack-reduced voltage and current matrices.
 
@@ -147,13 +163,7 @@ def estimate_reduced(vbar: np.ndarray, ibar: np.ndarray) -> np.ndarray:
     if vbar.shape != ibar.shape or vbar.ndim != 2:
         raise ValueError("reduced voltage/current matrices must share shape (n-1, tau)")
     m, tau = vbar.shape
-    rank = numerical_rank(vbar) if vbar.size else 0
-    diag = UniquenessDiagnostic(rank=rank, unknowns=m)
-    if tau < m or rank < m:
-        reason = f"tau={tau} < {m}" if tau < m else f"rank {rank} < {m}"
-        raise NonUniqueError(
-            f"reduced system is not uniquely solvable ({reason}); "
-            f"deficiency {diag.deficiency}", diagnostic=diag)
+    require_unique(uniqueness_diagnostic(vbar, m))
     if tau == m:
         # ybar @ vbar = ibar  <=>  vbar.T @ ybar.T = ibar.T
         return np.linalg.solve(vbar.T, ibar.T).T
@@ -170,13 +180,12 @@ def symmetry_deviation(mat: np.ndarray) -> float:
 def uniqueness_diagnostic(a: np.ndarray, unknowns: int) -> UniquenessDiagnostic:
     """Rank the stacked coefficient matrix against the unknown count."""
     a = np.asarray(a)
-    rank = numerical_rank(a) if a.size else 0
-    return UniquenessDiagnostic(rank=rank, unknowns=unknowns)
+    return UniquenessDiagnostic(rank=numerical_rank(a) if a.size else 0, unknowns=unknowns)
 
 
-def require_unique(diag: UniquenessDiagnostic | None) -> None:
-    """Raise NonUniqueError carrying a given diagnostic unless every unknown is determined."""
-    if diag is not None and not diag.unique:
+def require_unique(diag: UniquenessDiagnostic) -> None:
+    """Raise NonUniqueError carrying the diagnostic unless every unknown is determined."""
+    if not diag.unique:
         raise NonUniqueError(
             f"coefficient matrix rank {diag.rank} < {diag.unknowns} unknowns "
             f"(deficiency {diag.deficiency})", diagnostic=diag)

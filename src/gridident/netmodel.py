@@ -8,6 +8,7 @@ and the JSON file encoding.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,8 +236,9 @@ def _require(condition, message: str):
         raise NetworkFormatError(message)
 
 
-def _is_pair(y) -> bool:
-    return isinstance(y, list) and len(y) == 2 and all(isinstance(v, (int, float)) for v in y)
+def _is_pair(y) -> bool:  # json reads NaN, Infinity and huge ints; bools are ints
+    return isinstance(y, list) and len(y) == 2 and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in y)
 
 
 def network_from_payload(payload: dict) -> AdmittanceNetwork:

@@ -9,7 +9,8 @@ solve_stls returns, is formed for all points at once in complex arithmetic
 on n-by-tau arrays, with constraint_residual as the constraint; only the
 Newton matrix and its step are real, in the layout
 [per-point noise, real admittance parts, per-point multipliers] that the
-sparse LU factors. The plug-in ordinary least squares estimator averages
+sparse LU factors. It returns its least-squares warm start's rank diagnostic
+and never warns. The plug-in ordinary least squares estimator averages
 replicate snapshots before one plain regression; topo_recover.choose_method
 decides when it replaces the structured solve.
 """
@@ -17,7 +18,6 @@ decides when it replaces the structured solve.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailureError
-from .exact_estimate import (PriorTopology, _stack_adjoint, require_unique,
-                             structured_least_squares)
+from .exact_estimate import (PriorTopology, UniquenessDiagnostic, _stack_adjoint,
+                             require_unique, structured_least_squares)
 from .graph_core import incidence_matrix
 from .synth import MeasurementSet, average_snapshots, voltage_coefficient
 
@@ -40,7 +40,7 @@ class StlsSolution:
     """Estimated admittances plus per-point noise estimates and solver diagnostics.
 
     s is the 2n-by-tau complex noise, one column per operating point: the
-    voltage noise over the current noise.
+    voltage noise over the current noise. uniqueness is the warm start's rank diagnostic.
     """
 
     y: np.ndarray
@@ -49,6 +49,7 @@ class StlsSolution:
     kkt_residual: float
     converged: bool
     trace: tuple
+    uniqueness: UniquenessDiagnostic
 
     @property
     def objective(self) -> float:
@@ -182,10 +183,10 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     here is exact.
 
     Starts from the ordinary least-squares parameters with zero noise and
-    multipliers. Returns a non-converged solution (never a silent success)
-    if the infinity norm of the KKT residual is still above tol after
-    max_iter steps; raises SolverFailureError only when the step system stays
-    singular through the damping escalation.
+    multipliers, and returns that solve's rank diagnostic as uniqueness. Returns a
+    non-converged solution (never a silent success) if the infinity norm of the KKT
+    residual is still above tol after max_iter steps; raises SolverFailureError only
+    when the step system stays singular through the damping escalation.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -196,15 +197,9 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     tau = ms.tau
     v, cur = ms.voltage_matrix(), ms.current_matrix()
 
-    y, rank_diag = structured_least_squares(ms, h)
-    mu = 0.0
-    if not rank_diag.unique:
-        # the KKT system is singular along the unidentifiable directions;
-        # regularize so the factorization stays well defined
-        warnings.warn(
-            f"coefficient matrix rank {rank_diag.rank} < {e_hat} unknowns; "
-            f"the estimate cannot be unique", stacklevel=2)
-        mu = _DEFICIENT_DAMPING
+    y, uniqueness = structured_least_squares(ms, h)
+    # damp a rank-deficient KKT system, singular along the unidentifiable directions
+    mu = 0.0 if uniqueness.unique else _DEFICIENT_DAMPING
 
     s = np.zeros((2 * n, tau), dtype=complex)
     lam = np.zeros((n, tau), dtype=complex)
@@ -229,7 +224,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     best_norm, best_s, best_y = best
     return StlsSolution(y=best_y, s=best_s, iterations=it,
                         kkt_residual=best_norm, converged=best_norm <= tol,
-                        trace=tuple(trace))
+                        trace=tuple(trace), uniqueness=uniqueness)
 
 
 def save_trace(solution: StlsSolution, path) -> None:

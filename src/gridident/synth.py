@@ -269,6 +269,12 @@ def _parse_seed(text: str):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
+def _parse_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
 def save_measurements(ms: MeasurementSet, path) -> None:
     """Write one CSV row per (measurement index, node); floats keep full precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -306,7 +312,7 @@ def load_measurements(path) -> MeasurementSet:
                     key, _, value = body.partition("=")
                     meta[key.strip()] = value.strip()
                 continue
-            fields = next(csv.reader([text]))
+            fields = text.split(",")  # save_measurements never quotes a field
             if not header_seen:
                 if fields != _HEADER:
                     raise NetworkFormatError(
@@ -332,11 +338,12 @@ def load_measurements(path) -> MeasurementSet:
     by_key = {(r[0], r[1]): r[2:] for r in rows}
     if len(by_key) != len(rows):
         raise NetworkFormatError(f"{path}: duplicate (k, node) row")
-    points = []
-    for k in ks:
-        v = np.array([complex(*by_key[(k, node)][0:2]) for node in nodes])
-        i = np.array([complex(*by_key[(k, node)][2:4]) for node in nodes])
-        points.append(OperatingPoint(v, i, k))
+    if len(by_key) != n * tau:
+        missing = next((k, node) for k in ks for node in nodes if (k, node) not in by_key)
+        raise NetworkFormatError(f"{path}: no row for (k, node) = {missing}")
+    # each row's two (re, im) pairs, read as complex: V and I of point k at node
+    vi = np.array([by_key[key] for key in sorted(by_key)]).view(complex).reshape(tau, n, 2)
+    points = tuple(OperatingPoint(vi[t, :, 0], vi[t, :, 1], t + 1) for t in range(tau))
 
     def parsed(key, parse):
         if key not in meta:
@@ -347,10 +354,10 @@ def load_measurements(path) -> MeasurementSet:
             raise NetworkFormatError(f"{path}: # {key}={meta[key]}: {exc}") from exc
 
     return MeasurementSet(
-        tuple(points),
-        noisy=meta.get("noisy", "false") == "true",
+        points,
+        noisy=bool(parsed("noisy", _parse_flag)),
         noise_spec=parsed("sigma_scale", lambda text: NoiseSpec(float(text))),
         seed=parsed("seed", _parse_seed),
         noise_seed=parsed("noise_seed", _parse_seed),
-        surrogate=meta.get("surrogate") == "true",
+        surrogate=bool(parsed("surrogate", _parse_flag)),
     )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientMeasurementsError
-from .exact_estimate import (PriorTopology, UniquenessDiagnostic, min_measurements,
+from .errors import AlignmentError
+from .exact_estimate import (PriorTopology, UniquenessDiagnostic, require_measurements,
                              require_unique, structured_least_squares)
 from .graph_core import Edge, NetworkGraph, incidence_matrix
 from .netmodel import AdmittanceNetwork, Bus, BusSpec, phase_expand, phase_node_map, PHASES
@@ -26,13 +26,6 @@ DEFAULT_RELATIVE_ALPHA = 0.01
 METHODS = ("auto", "exact", "stls", "plugin")
 
 _STLS_UNKNOWN_CAP = 600  # beyond this the structured solve is impractical; fall back to plug-in
-
-_THRESHOLD_RULES = {
-    "none": "with no prior topology information a unique solution needs tau >= n-1",
-    "tree": "a known tree topology needs tau >= 1",
-    "minus_one_edge": "a known missing edge needs tau >= n-2 (n >= 4)",
-    "explicit_graph": "heuristic lower bound ceil(e/n) for an explicit hypothesis",
-}
 
 
 def _require_alpha(alpha: float) -> None:
@@ -54,7 +47,7 @@ class TopologyEstimate:
 
     y_hat is aligned with the hypothesis graph's canonical edge order;
     edges_hat are exactly the edges whose entry survived thresholding.
-    method is "exact" (with the solve's rank diagnostic) or "stls" (with its solution).
+    method is "exact" or "stls" (with its solution); uniqueness is its rank diagnostic.
     """
 
     y_hat: np.ndarray
@@ -126,10 +119,10 @@ def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementS
         alpha = DEFAULT_RELATIVE_ALPHA if relative else DEFAULT_ALPHA
     _require_alpha(alpha)
     method = choose_method(method, ms, beta)
-    solver = uniqueness = None
+    solver = None
     if method == "stls":
         solver = solve_stls(ms, beta)
-        y = solver.y
+        y, uniqueness = solver.y, solver.uniqueness
     else:
         y, uniqueness = structured_least_squares(ms, incidence_matrix(beta.graph))
     eff_alpha = _effective_alpha(y, alpha, relative)
@@ -148,16 +141,12 @@ def identify_topology(beta: PriorTopology, n: int, alpha: float | None, ms: Meas
     """Estimate, threshold, and extract the recovered edge set.
 
     The method comes from choose_method and the cut from estimate_topology's
-    threshold rule. Gates: the prior must be over n nodes (min_measurements)
-    and the measurements over the prior's (estimate_topology), tau must reach
-    the prior's threshold, and the exact path raises NonUniqueError unless its
-    stack determines every unknown.
+    threshold rule. Gates: the prior must be over n nodes and tau must reach
+    its threshold (require_measurements), the measurements must be over the
+    prior's nodes (estimate_topology), and require_unique rejects an exact or
+    stls estimate whose least-squares stack leaves an unknown undetermined.
     """
-    needed = min_measurements(beta, n)
-    if ms.tau < needed:
-        raise InsufficientMeasurementsError(
-            f"{ms.tau} operating points supplied but {needed} required: "
-            f"{_THRESHOLD_RULES[beta.kind]}")
+    require_measurements(beta, n, ms.tau)
     est = estimate_topology(beta, alpha, ms, relative_threshold, method)
     require_unique(est.uniqueness)
     return est
@@ -262,16 +251,14 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder, alpha: float 
 def solver_outcome(est: TopologyEstimate) -> dict:
     """The estimator that ran and how its solve went.
 
-    The STLS path reports convergence and KKT residual; the exact path reports
-    rank and unknowns, plus gram_rcond when the Cholesky path (not the lstsq
-    fallback) produced the answer. Fields of the other path are None.
+    Both paths report rank and unknowns, plus gram_rcond when the Cholesky
+    path (not the lstsq fallback) made the least-squares solve (stls: its warm
+    start); convergence and KKT residual are stls's, None on the exact path.
     """
     sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,
             "kkt_residual": None if sol is None else float(sol.kkt_residual),
-            "rank": None if diag is None else diag.rank,
-            "unknowns": None if diag is None else diag.unknowns,
-            "gram_rcond": None if diag is None else diag.gram_rcond}
+            "rank": diag.rank, "unknowns": diag.unknowns, "gram_rcond": diag.gram_rcond}
 
 
 def topology_report(est: TopologyEstimate, score: TopologyScore | None = None) -> dict:

@@ -10,6 +10,7 @@ from gridident import (NetworkGraph, load_measurements, random_admittances,
 from gridident.cli import main, parse_prior, parse_tau_list
 
 LATERAL3 = pathlib.Path(__file__).resolve().parents[1] / "networks" / "lateral3_busspec.json"
+CYCLE5 = LATERAL3.with_name("cycle5.json")
 
 
 @pytest.fixture()
@@ -65,6 +66,21 @@ def test_identify_insufficient_measurements_exit_2(tmp_path, cycle5):
                  "--seed", "3", "--out", str(ms_path)]) == 0
     assert main(["identify", "--measurements", str(ms_path),
                  "--prior", "complete"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::gridident.HeuristicBoundWarning")
+def test_identify_non_unique_noisy_estimate_exit_2(tmp_path, capsys):
+    """A rank-deficient noisy file fails the same gate as its clean original."""
+    clean, noisy, out = tmp_path / "ms.csv", tmp_path / "noisy.csv", tmp_path / "report.json"
+    assert main(["synth", "--network", str(CYCLE5), "--tau", "1", "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(noisy)]) == 0
+    for path in (clean, noisy):
+        capsys.readouterr()
+        assert main(["identify", "--measurements", str(path), "--prior", f"file:{CYCLE5}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: coefficient matrix rank 4 < 5 unknowns (deficiency 1)"]
+        assert not out.exists()
 
 
 def test_identify_parse_error_exit_3(tmp_path):

@@ -228,3 +228,25 @@ def test_bus_spec_parser_rejects_malformed_entries(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(NetworkFormatError):
         load_bus_spec(path)
+
+
+_NON_FINITE_OR_BOOL = ["[NaN, 0]", "[0, -Infinity]", "[1e999, 0]", "[1" + "0" * 400 + ", 0]",
+                       "[true, 0]", "[1, false]"]
+
+
+@pytest.mark.parametrize("y", _NON_FINITE_OR_BOOL)
+def test_network_file_rejects_non_finite_or_bool_admittance(tmp_path, y):
+    path = tmp_path / "net.json"
+    path.write_text('{"version": 1, "n": 2, "edges": [{"i": 1, "j": 2, "y": %s}]}' % y)
+    with pytest.raises(NetworkFormatError, match=r"net\.json: edge #1: field 'y'"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("y", _NON_FINITE_OR_BOOL)
+def test_bus_spec_file_rejects_non_finite_or_bool_admittance(tmp_path, y):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"buses": _TWO_BUSES, "branches": [
+        {"from": "b1", "to": "b2", "couplings": [
+            {"from_phase": "a", "to_phase": "a", "y": "Y"}]}]}).replace('"Y"', y))
+    with pytest.raises(NetworkFormatError, match=r"spec\.json: bad coupling entry"):
+        load_bus_spec(path)

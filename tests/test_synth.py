@@ -1,10 +1,15 @@
+import dataclasses
+import functools
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, AlignmentError, MeasurementSet,
-                       NetworkGraph, NoiseSpec, OperatingPoint, add_noise,
+                       NetworkFormatError, NetworkGraph, NoiseSpec, OperatingPoint, add_noise,
                        average_snapshots, complete_graph, currents_from_voltages,
                        incidence_matrix, load_measurements, matrix_from_vector,
                        perturb_voltages, random_admittances, save_measurements,
@@ -247,6 +252,10 @@ def test_measurement_file_errors(tmp_path):
     missing.write_text("k,node,V_re,V_im,I_re,I_im\n1,1,1,0,0,0\n1,3,1,0,0,0\n")
     with pytest.raises(NetworkFormatError):
         load_measurements(missing)
+    hole = tmp_path / "hole.csv"  # k and node each cover 1..2, but (2, 2) has no row
+    hole.write_text("k,node,V_re,V_im,I_re,I_im\n1,1,1,0,0,0\n1,2,1,0,0,0\n2,1,1,0,0,0\n")
+    with pytest.raises(NetworkFormatError, match=r"\(k, node\) = \(2, 2\)"):
+        load_measurements(hole)
 
 
 def test_operating_point_validation():
@@ -263,6 +272,8 @@ def test_operating_point_validation():
     (lambda lines: ["# sigma_scale=-1"] + lines, "sigma_scale"),
     (lambda lines: [line.replace("# seed=7", "# seed=x") for line in lines], "seed"),
     (lambda lines: ["# noise_seed=1,,2"] + lines, "noise_seed"),
+    (lambda lines: [line.replace("# noisy=false", "# noisy=yes") for line in lines], "noisy"),
+    (lambda lines: lines + ["# surrogate=1"], "surrogate"),
 ])
 def test_measurement_file_rejects_bad_values_and_metadata(tmp_path, edit, where):
     from gridident import NetworkFormatError
@@ -273,3 +284,69 @@ def test_measurement_file_rejects_bad_values_and_metadata(tmp_path, edit, where)
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(NetworkFormatError, match=where):
         load_measurements(path)
+
+
+def _edited(lines, edits):
+    lines = list(lines)
+    for kind, where, at, text in edits:
+        i = where % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            pos = at % (len(lines[i]) + 1)
+            lines[i] = lines[i][:pos] + text + lines[i][pos + len(text):]
+    return lines
+
+
+@functools.cache
+def _saved_lines() -> tuple:
+    """Lines of a saved noisy 3-node, 2-point file, with every metadata key."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ms.csv"
+        ms = add_noise(synthesize(_net(3, 42), 2, seed=(7, 8)), NoiseSpec(1e-3), seed=9)
+        save_measurements(dataclasses.replace(ms, surrogate=True), path)
+        return tuple(path.read_text().splitlines())
+
+
+_GARBLE = st.text(st.sampled_from("0123456789,.-+eE#= \"truefalsninfkV_I") | st.characters(),
+                  max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.sampled_from(("delete", "duplicate", "garble")),
+                                st.integers(0, 99), st.integers(0, 99), _GARBLE),
+                      min_size=1, max_size=2))
+def test_edited_measurement_file_loads_or_raises_format_error(edits):
+    """Deleting, duplicating or garbling one or two lines never escapes NetworkFormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ms.csv"
+        path.write_text("\n".join(_edited(_saved_lines(), edits)) + "\n", encoding="utf-8")
+        try:
+            ms = load_measurements(path)
+        except NetworkFormatError:
+            return
+    assert isinstance(ms, MeasurementSet)
+
+
+_SEEDS = st.integers(0, 2**32) | st.tuples(st.integers(0, 2**16), st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), tau=st.integers(1, 6), noisy=st.booleans(), seed=_SEEDS,
+       noise_seed=_SEEDS, surrogate=st.booleans())
+def test_measurement_file_round_trip_is_bit_exact(n, tau, noisy, seed, noise_seed, surrogate):
+    """save_measurements then load_measurements returns V and I bit for bit, and the metadata."""
+    ms = synthesize(_net(n, [43, n]), tau, seed)
+    if noisy:
+        ms = add_noise(ms, NoiseSpec(1e-3), noise_seed)
+    ms = dataclasses.replace(ms, surrogate=surrogate)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "ms.csv"
+        save_measurements(ms, path)
+        back = load_measurements(path)
+    assert back.voltage_matrix().tobytes() == ms.voltage_matrix().tobytes()
+    assert back.current_matrix().tobytes() == ms.current_matrix().tobytes()
+    fields = ("noisy", "noise_spec", "seed", "noise_seed", "surrogate")
+    assert [getattr(back, f) for f in fields] == [getattr(ms, f) for f in fields]

@@ -1,16 +1,21 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, AlignmentError, Branch, Bus, BusSpec,
-                       Coupling, InsufficientMeasurementsError, MeasurementSet,
-                       NetworkGraph, NoiseSpec, OperatingPoint, PriorTopology,
-                       add_noise, complete_graph, estimate_topology, identify_phases,
-                       identify_topology, random_admittances, random_connected_graph,
-                       random_tree, score_topology, synthesize_independent,
+                       Coupling, HeuristicBoundWarning, InsufficientMeasurementsError,
+                       MeasurementSet, NetworkGraph, NoiseSpec, NonUniqueError,
+                       OperatingPoint, PriorTopology, add_noise, complete_graph,
+                       estimate_topology, identify_phases, identify_topology,
+                       load_network, random_admittances, random_connected_graph,
+                       random_tree, score_topology, synthesize, synthesize_independent,
                        threshold, topology_report)
 from gridident import topo_recover
+
+CYCLE5 = pathlib.Path(__file__).resolve().parents[1] / "networks" / "cycle5.json"
 
 
 def test_threshold_zero_alpha_identity():
@@ -242,7 +247,29 @@ def test_solver_outcome_names_the_exact_solve():
     noisy = add_noise(synthesize_independent(net, 4, seed=132), NoiseSpec(0.001), seed=133)
     stls = solver_outcome(identify_topology(prior, 5, 0.01, noisy, relative_threshold=True))
     assert stls["method"] == "stls"
-    assert (stls["rank"], stls["unknowns"], stls["gram_rcond"]) == (None, None, None)
+    assert stls["rank"] == stls["unknowns"] == 10
+    assert stls["gram_rcond"] >= 1e-10
+
+
+@pytest.mark.parametrize("sigma, method", [(0.0, "exact"), (1e-3, "stls")])
+def test_non_unique_estimate_is_rejected_on_both_paths(sigma, method):
+    """One point cannot fix a cycle's five admittances, clean or noisy, exact or stls.
+
+    H diag(H^T v) has rank n - 1 = 4 for one operating point, so the 5 unknowns
+    of cycle5 under its own graph are not unique, and the same gate says so.
+    """
+    net = load_network(CYCLE5)
+    ms = synthesize(net, 1, seed=0)
+    if sigma:
+        ms = add_noise(ms, NoiseSpec(sigma), seed=0)
+    prior = PriorTopology.explicit(net.graph)
+    assert topo_recover.choose_method("auto", ms, prior) == method
+    with pytest.warns(HeuristicBoundWarning), pytest.raises(NonUniqueError) as info:
+        identify_topology(prior, 5, None, ms)
+    assert str(info.value) == "coefficient matrix rank 4 < 5 unknowns (deficiency 1)"
+    assert (info.value.diagnostic.rank, info.value.diagnostic.unknowns) == (4, 5)
+    # the ungated core still answers, and records the same diagnostic
+    assert estimate_topology(prior, None, ms).uniqueness == info.value.diagnostic
 
 
 def test_threshold_rule_is_relative_iff_noisy():

@@ -23,8 +23,7 @@ from .synth import (MeasurementSet, NoiseSpec, OperatingPoint, add_noise,
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic,
                              build_reduced_measurements, estimate_reduced,
                              estimate_vector_ls, least_squares, min_measurements,
-                             minimum_norm_vector, structured_least_squares,
-                             symmetry_deviation, uniqueness_diagnostic)
+                             structured_least_squares, uniqueness_diagnostic)
 from .stls import (StlsSolution, constraint_residual, plug_in_ols, realified_coefficient,
                    save_trace, solve_stls)
 from .topo_recover import (PhaseIdentification, TopologyEstimate, TopologyScore,

@@ -4,6 +4,7 @@ Subcommands: ranktable (measurement-count vs rank tables), synth (generate
 noise-free measurements), noise (corrupt a measurement file), sweep
 (error-vs-measurement-count experiments over seeds), identify (recover a
 topology from a measurement file), phases (phase connectivity of a lateral).
+synth, sweep and phases draw voltages with --profile flat or independent.
 
 Subcommands only parse arguments and format output. identify and phases
 estimate with topo_recover.identify_topology; sweep cells with its ungated
@@ -12,7 +13,8 @@ core, estimate_topology, to record errors below the identifiability threshold.
 Data goes to standard output or files: identify and phases write one JSON
 object with sorted keys on one line, sweep a CSV with '#' header lines.
 Progress and timing go to standard error. Exit codes: 0 success, 2
-precondition violation, 3 input format error, 4 solver failure.
+precondition violation, 3 malformed input (a network, bus-spec or measurement
+file that does not parse or is not UTF-8), 4 solver failure.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .topo_recover import (METHODS, choose_method, estimate_topology, identify_p
                            identify_topology, score_topology, solver_outcome,
                            topology_report)
 
+PROFILES = ("flat", "independent")
 METHOD_HELP = ("auto: exact if noiseless, else stls up to 600 unknowns and plugin beyond; "
                "plugin is least squares on the average of --replicates noisy copies "
                "(sweep), which on one measurement file is exact")
@@ -94,19 +97,16 @@ def _require_sigma(sigma: float) -> None:
 
 
 def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
-    """Noise-free measurements per the requested voltage profile.
+    """Noise-free measurements with the requested voltage profile (one of PROFILES).
 
-    flat: near-flat per-unit base plus small perturbations (the default
-    pipeline); generic: a random complex base plus the same perturbations;
-    independent: a fresh generic profile per operating point, which keeps the
-    problem well conditioned right at the identifiability threshold.
+    flat, the default: synthesize's near-flat per-unit base point plus small
+    perturbations of it. independent: synthesize_independent's fresh generic
+    profile per operating point, which keeps the problem well conditioned
+    right at the identifiability threshold.
     """
     if profile == "independent":
         return synthesize_independent(net, tau, seed)
-    v1 = None
-    if profile == "generic":
-        v1 = random_voltage_matrix(net.graph.n, 1, np.random.default_rng([seed, 3, 0])).ravel()
-    return synthesize(net, tau, seed, v1=v1)
+    return synthesize(net, tau, seed)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", choices=("flat", "generic", "independent"), default="flat")
+    p.add_argument("--profile", choices=PROFILES, default="flat")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="auto", help=METHOD_HELP)
     p.add_argument("--replicates", type=int, default=8)
     _add_threshold_flags(p)
-    p.add_argument("--profile", choices=("flat", "generic", "independent"), default="flat")
+    p.add_argument("--profile", choices=PROFILES, default="flat")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.001)
     p.add_argument("--seed", type=int, default=0)
     _add_threshold_flags(p)
-    p.add_argument("--profile", choices=("flat", "generic", "independent"), default="flat")
+    p.add_argument("--profile", choices=PROFILES, default="flat")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_phases)
 

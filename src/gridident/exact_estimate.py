@@ -4,10 +4,11 @@ The reduced-system solve for complete hypotheses, the least-squares route for
 arbitrary hypothesis graphs, and the one identifiability rule: each prior's tau
 threshold (require_measurements) and every solve's rank (require_unique).
 
-The least-squares route has two paths. structured_least_squares is the fast
-one: it solves the e-by-e normal equations by Cholesky without building the
-dense (n*tau)-by-e coefficient stack. least_squares (lstsq on that stack) is
-its fallback for rank-deficient and ill-conditioned systems.
+least_squares, one lstsq giving the minimum-norm solution and its rank, is
+the one exact solve, of the reduced system and of the edge-vector stack alike.
+structured_least_squares reaches its answer by Cholesky on the e-by-e normal
+equations without building the stack, and falls back to it when the system
+is rank-deficient or ill-conditioned.
 """
 
 from __future__ import annotations
@@ -136,45 +137,29 @@ def require_measurements(prior: PriorTopology, n: int, tau: int) -> None:
                                             f"required: {_THRESHOLD_RULES[prior.kind]}")
 
 
-def build_reduced_measurements(ms: MeasurementSet, v1_slack: complex | None = None):
-    """Slack-reduced voltage and current matrices.
+def build_reduced_measurements(ms: MeasurementSet):
+    """Slack-reduced voltage and current matrices, each (n-1)-by-tau.
 
-    Drops the node-1 rows and references every remaining voltage to the slack
-    voltage. By default the measured node-1 voltage of each operating point is
-    subtracted column by column, which keeps the reduced system exact even
-    when the slack voltage drifts across points; pass a scalar to subtract a
-    fixed known slack voltage instead.
+    Drops the node-1 rows and subtracts each operating point's measured
+    node-1 voltage from the remaining voltages of that point, which keeps the
+    reduced system exact even when the slack voltage drifts across points.
     """
     u = ms.voltage_matrix()
-    i = ms.current_matrix()
-    slack = u[0, :] if v1_slack is None else np.full(ms.tau, complex(v1_slack))
-    return u[1:, :] - slack[np.newaxis, :], i[1:, :]
+    return u[1:, :] - u[0, :], ms.current_matrix()[1:, :]
 
 
 def estimate_reduced(vbar: np.ndarray, ibar: np.ndarray) -> np.ndarray:
-    """Reduced admittance matrix from reduced measurements.
+    """Reduced admittance matrix Ybar from Ybar @ vbar = ibar.
 
-    Square case: direct linear solve. Overdetermined case: least squares,
-    equivalent to the right pseudo-inverse. Requires tau >= n-1 and full row
-    rank; anything less leaves the matrix non-unique and raises.
+    estimate_vector_ls solves the transpose vbar.T @ Ybar.T = ibar.T with one
+    lstsq call for solution and rank. Needs tau >= n-1 and full row rank of
+    vbar; anything less leaves Ybar non-unique and raises NonUniqueError.
     """
     vbar = np.asarray(vbar, dtype=complex)
     ibar = np.asarray(ibar, dtype=complex)
     if vbar.shape != ibar.shape or vbar.ndim != 2:
         raise ValueError("reduced voltage/current matrices must share shape (n-1, tau)")
-    m, tau = vbar.shape
-    require_unique(uniqueness_diagnostic(vbar, m))
-    if tau == m:
-        # ybar @ vbar = ibar  <=>  vbar.T @ ybar.T = ibar.T
-        return np.linalg.solve(vbar.T, ibar.T).T
-    return np.linalg.lstsq(vbar.T, ibar.T, rcond=None)[0].T
-
-
-def symmetry_deviation(mat: np.ndarray) -> float:
-    """Largest absolute asymmetry relative to the largest entry; 0 for symmetric input."""
-    mat = np.asarray(mat)
-    scale = max(float(np.abs(mat).max(initial=0.0)), 1e-30)
-    return float(np.abs(mat - mat.T).max(initial=0.0)) / scale
+    return estimate_vector_ls(vbar.T, ibar.T).T
 
 
 def uniqueness_diagnostic(a: np.ndarray, unknowns: int) -> UniquenessDiagnostic:
@@ -200,11 +185,6 @@ def estimate_vector_ls(a: np.ndarray, i_stacked: np.ndarray) -> np.ndarray:
     y, diag = least_squares(a, i_stacked)
     require_unique(diag)
     return y
-
-
-def minimum_norm_vector(a: np.ndarray, i_stacked: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution with no uniqueness gate; see least_squares."""
-    return least_squares(a, i_stacked)[0]
 
 
 def least_squares(a: np.ndarray,

@@ -19,6 +19,9 @@ from .graph_core import Edge, NetworkGraph
 FILE_VERSION = 1
 PHASES = "abc"
 
+CONDUCTANCE_RANGE = (0.5, 2.0)  # per unit, as random_admittances draws them
+SUSCEPTANCE_RANGE = (-2.0, -0.5)
+
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceNetwork:
@@ -41,11 +44,10 @@ class AdmittanceNetwork:
         return self.graph.n
 
 
-def random_admittances(graph: NetworkGraph, rng: np.random.Generator,
-                       conductance=(0.5, 2.0), susceptance=(-2.0, -0.5)) -> AdmittanceNetwork:
+def random_admittances(graph: NetworkGraph, rng: np.random.Generator) -> AdmittanceNetwork:
     """Random per-unit line admittances: positive conductance, inductive susceptance."""
-    g = rng.uniform(*conductance, graph.e)
-    b = rng.uniform(*susceptance, graph.e)
+    g = rng.uniform(*CONDUCTANCE_RANGE, graph.e)
+    b = rng.uniform(*SUSCEPTANCE_RANGE, graph.e)
     return AdmittanceNetwork(graph, g + 1j * b)
 
 
@@ -243,10 +245,11 @@ def _is_pair(y) -> bool:  # json reads NaN, Infinity and huge ints; bools are in
 
 def network_from_payload(payload: dict) -> AdmittanceNetwork:
     _require(isinstance(payload, dict), "top level must be an object")
-    _require(payload.get("version") == FILE_VERSION,
-             f"unsupported file version {payload.get('version')!r} (expected {FILE_VERSION})")
+    version = payload.get("version")
+    _require(type(version) is int and version == FILE_VERSION,  # bools are ints
+             f"unsupported file version {version!r} (expected {FILE_VERSION})")
     n = payload.get("n")
-    _require(isinstance(n, int) and n >= 1, f"field 'n' must be a positive integer, got {n!r}")
+    _require(type(n) is int and n >= 1, f"field 'n' must be a positive integer, got {n!r}")
     raw_edges = payload.get("edges")
     _require(isinstance(raw_edges, list), "field 'edges' must be a list")
     pairs = []
@@ -255,7 +258,7 @@ def network_from_payload(payload: dict) -> AdmittanceNetwork:
         where = f"edge #{pos + 1}"
         _require(isinstance(item, dict), f"{where}: must be an object")
         i, j = item.get("i"), item.get("j")
-        _require(isinstance(i, int) and isinstance(j, int),
+        _require(type(i) is int and type(j) is int,
                  f"{where}: fields 'i' and 'j' must be integers")
         y = item.get("y")
         _require(_is_pair(y), f"{where}: field 'y' must be a [real, imag] pair")
@@ -269,13 +272,28 @@ def network_from_payload(payload: dict) -> AdmittanceNetwork:
     return AdmittanceNetwork(graph, np.array([ys[e] for e in graph.edges], dtype=complex))
 
 
+def read_text(path) -> str:
+    """Text of a UTF-8 input file; bytes that do not decode raise NetworkFormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise NetworkFormatError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def _read_json(path):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise NetworkFormatError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than int's string-conversion limit
+        raise NetworkFormatError(f"{path}: {exc}") from exc
+
+
 def load_network(path) -> AdmittanceNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    payload = _read_json(path)
     try:
         return network_from_payload(payload)
     except NetworkFormatError as exc:
@@ -337,12 +355,7 @@ def save_bus_spec(spec: BusSpec, path) -> None:
 
 def load_bus_spec(path) -> BusSpec:
     """Read a standalone bus-spec file or the bus_spec block of a network file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    payload = _read_json(path)
     if isinstance(payload, dict) and "bus_spec" in payload:
         payload = payload["bus_spec"]
     try:

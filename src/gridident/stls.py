@@ -39,6 +39,8 @@ _DEFICIENT_DAMPING = 1e-6
 class StlsSolution:
     """Estimated admittances plus per-point noise estimates and solver diagnostics.
 
+    The solution is the iterate with the smallest KKT residual; iterations is
+    its index (0: the warm start), and trace has a row for every iterate.
     s is the 2n-by-tau complex noise, one column per operating point: the
     voltage noise over the current noise. uniqueness is the warm start's rank diagnostic.
     """
@@ -206,7 +208,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     resid, g_norm = _kkt_residual(h, v, cur, s, y, lam)
     r_norm = float(np.abs(resid).max())
     trace = [(0, r_norm, g_norm, 0.0)]
-    best = (r_norm, s.copy(), y.copy())
+    best = (r_norm, 0, s.copy(), y.copy())
     it = 0
     while r_norm > tol and it < max_iter:
         step, mu = _damped_solve(_newton_matrix(h, v, s, y, lam), -resid, mu)
@@ -219,10 +221,10 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
         r_norm = float(np.abs(resid).max())
         trace.append((it, r_norm, g_norm, float(np.abs(step).max())))
         if r_norm < best[0]:
-            best = (r_norm, s.copy(), y.copy())
+            best = (r_norm, it, s.copy(), y.copy())
 
-    best_norm, best_s, best_y = best
-    return StlsSolution(y=best_y, s=best_s, iterations=it,
+    best_norm, best_it, best_s, best_y = best
+    return StlsSolution(y=best_y, s=best_s, iterations=best_it,
                         kkt_residual=best_norm, converged=best_norm <= tol,
                         trace=tuple(trace), uniqueness=uniqueness)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConsistencyError, NetworkFormatError
 from .graph_core import NetworkGraph, incidence_matrix
-from .netmodel import AdmittanceNetwork, matrix_from_vector
+from .netmodel import AdmittanceNetwork, matrix_from_vector, read_text
 
 PERTURB_FRACTION = 0.05
 
@@ -154,20 +154,18 @@ def perturb_voltages(v1: np.ndarray, count: int, seed) -> list[np.ndarray]:
     return out
 
 
-def synthesize(net: AdmittanceNetwork, tau: int, seed, v1: np.ndarray | None = None) -> MeasurementSet:
-    """Noise-free measurement set: a base point plus tau-1 perturbed operating points.
+def synthesize(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
+    """Noise-free measurement set: a near-flat base point plus tau-1 perturbed points.
 
-    Currents are always computed from the network model, so every point
-    satisfies current conservation exactly.
+    The base profile is default_base_voltage and each later point perturbs it
+    as perturb_voltages does, both drawn from seed's synthesis streams, so a
+    larger tau extends a smaller one bit for bit. Currents are always computed
+    from the network model, so every point satisfies current conservation
+    exactly.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if v1 is None:
-        v1 = default_base_voltage(net.graph.n, _stream(seed, _TAG_SYNTH, 0))
-    else:
-        v1 = np.asarray(v1, dtype=complex)
-        if v1.shape != (net.graph.n,):
-            raise AlignmentError("base voltage length does not match the network")
+    v1 = default_base_voltage(net.graph.n, _stream(seed, _TAG_SYNTH, 0))
     voltages = [v1] + perturb_voltages(v1, tau - 1, seed)
     points = tuple(
         OperatingPoint(v, currents_from_voltages(net, v), k)
@@ -300,34 +298,34 @@ def save_measurements(ms: MeasurementSet, path) -> None:
 def load_measurements(path) -> MeasurementSet:
     meta: dict[str, str] = {}
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                body = text.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            fields = text.split(",")  # save_measurements never quotes a field
-            if not header_seen:
-                if fields != _HEADER:
-                    raise NetworkFormatError(
-                        f"{path}: line {lineno}: expected header {','.join(_HEADER)}")
-                header_seen = True
-                continue
-            if len(fields) != len(_HEADER):
-                raise NetworkFormatError(f"{path}: line {lineno}: expected 6 fields")
-            try:
-                row = (int(fields[0]), int(fields[1]), *(float(f) for f in fields[2:]))
-            except ValueError as exc:
-                raise NetworkFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(math.isfinite(x) for x in row[2:]):
-                raise NetworkFormatError(f"{path}: line {lineno}: V and I values must be finite")
-            rows.append(row)
+    header_seen = False
+    # read_text translates \r\n and \r, so every line ends at \n
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            body = text.lstrip("#").strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                meta[key.strip()] = value.strip()
+            continue
+        fields = text.split(",")  # save_measurements never quotes a field
+        if not header_seen:
+            if fields != _HEADER:
+                raise NetworkFormatError(
+                    f"{path}: line {lineno}: expected header {','.join(_HEADER)}")
+            header_seen = True
+            continue
+        if len(fields) != len(_HEADER):
+            raise NetworkFormatError(f"{path}: line {lineno}: expected 6 fields")
+        try:
+            row = (int(fields[0]), int(fields[1]), *(float(f) for f in fields[2:]))
+        except ValueError as exc:
+            raise NetworkFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(math.isfinite(x) for x in row[2:]):
+            raise NetworkFormatError(f"{path}: line {lineno}: V and I values must be finite")
+        rows.append(row)
     if not header_seen or not rows:
         raise NetworkFormatError(f"{path}: no measurement rows found")
     ks = sorted({r[0] for r in rows})

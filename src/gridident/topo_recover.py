@@ -53,7 +53,6 @@ class TopologyEstimate:
     y_hat: np.ndarray
     hypothesis: NetworkGraph
     edges_hat: tuple[Edge, ...]
-    graph_hat: NetworkGraph
     alpha: float
     tau: int
     prior_kind: str
@@ -129,8 +128,7 @@ def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementS
     y_hat = threshold(y, eff_alpha)
     edges_hat = tuple(edge for edge, val in zip(beta.graph.edges, y_hat) if val != 0)
     return TopologyEstimate(
-        y_hat=y_hat, hypothesis=beta.graph, edges_hat=edges_hat,
-        graph_hat=NetworkGraph(beta.graph.n, edges_hat), alpha=eff_alpha, tau=ms.tau,
+        y_hat=y_hat, hypothesis=beta.graph, edges_hat=edges_hat, alpha=eff_alpha, tau=ms.tau,
         prior_kind=beta.kind, method="stls" if method == "stls" else "exact", solver=solver,
         uniqueness=uniqueness, relative=relative)
 

@@ -162,28 +162,47 @@ def test_phases_malformed_coupling_exit_3(tmp_path, capsys):
     spec = {"buses": [{"name": "b1", "phases": "abc"}, {"name": "b2", "phases": "abc"}],
             "branches": [{"from": "b1", "to": "b2", "couplings": []}]}
     for coupling in ({"to_phase": "b", "y": [1, -1]},
-                     {"from_phase": "a", "to_phase": "a", "y": ["x", 1]}):
+                     {"from_phase": "a", "to_phase": "a", "y": ["x", 1]},
+                     {"from_phase": "a", "to_phase": "a", "y": [1, -1], "note": "\udcff"}):
         spec["branches"][0]["couplings"] = [coupling]
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        # a lone surrogate is written as the byte 0xff, which is not UTF-8
+        path.write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8",
+                        errors="surrogateescape")
         assert main(["phases", "--spec", str(path), "--bus", "b2", "--tau", "3"]) == 3
         err = capsys.readouterr().err.strip()
-        assert err.startswith("input error:") and len(err.splitlines()) == 1
+        assert err.startswith(f"input error: {path}:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("edit", [
     lambda text: re.sub(r"\n1,2,[^,]*,", "\n1,2,nan,", text, count=1),
     lambda text: "# sigma_scale=abc\n" + text,
+    lambda text: "# note=\udce9\n" + text,  # written as the byte 0xe9, which is not UTF-8
 ])
 def test_identify_bad_value_or_metadata_exit_3(tmp_path, cycle5, capsys, edit):
     ms_path = tmp_path / "ms.csv"
     assert main(["synth", "--network", str(cycle5), "--tau", "4",
                  "--seed", "3", "--out", str(ms_path)]) == 0
-    ms_path.write_text(edit(ms_path.read_text()))
+    ms_path.write_text(edit(ms_path.read_text()), encoding="utf-8", errors="surrogateescape")
     capsys.readouterr()
     assert main(["identify", "--measurements", str(ms_path), "--prior", "complete"]) == 3
     err = capsys.readouterr().err.strip()
-    assert err.startswith("input error:") and len(err.splitlines()) == 1
+    assert err.startswith(f"input error: {ms_path}:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('"i": 1', '"i": true', 1),
+    lambda text: text.replace('"n": 5', '"n": 5, "note": "\udcff"', 1),  # the byte 0xff
+])
+def test_sweep_malformed_network_exit_3(tmp_path, cycle5, capsys, edit):
+    cycle5.write_text(edit(cycle5.read_text()), encoding="utf-8", errors="surrogateescape")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--network", str(cycle5), "--tau", "4", "--seeds", "1",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.strip()
+    assert err.startswith(f"input error: {cycle5}:") and len(err.splitlines()) == 1
 
 
 def test_identify_report_names_solver_outcome(tmp_path, cycle5):

@@ -1,7 +1,13 @@
+import functools
 import json
+import operator
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, Branch, Bus, BusSpec,
                        ConsistencyError, Coupling, NetworkFormatError,
@@ -163,14 +169,24 @@ def test_network_file_duplicate_edge(tmp_path):
 
 
 def test_network_file_version_and_parse_errors(tmp_path):
-    bad_version = tmp_path / "v9.json"
-    bad_version.write_text(json.dumps({"version": 9, "n": 2, "edges": []}))
-    with pytest.raises(NetworkFormatError, match="version"):
-        load_network(bad_version)
-    garbage = tmp_path / "bad.json"
-    garbage.write_text("{not json")
-    with pytest.raises(NetworkFormatError, match="line 1"):
-        load_network(garbage)
+    edge = {"i": 1, "j": 2, "y": [1, 0]}
+    cases = [
+        (json.dumps({"version": 9, "n": 2, "edges": []}), "version"),
+        (json.dumps({"version": True, "n": 2, "edges": []}), "version True"),
+        (json.dumps({"version": 1, "n": True, "edges": []}), "field 'n'"),
+        (json.dumps({"version": 1, "n": 2, "edges": [{**edge, "i": True}]}), "'i' and 'j'"),
+        (json.dumps({"version": 1, "n": 2, "edges": [{**edge, "j": True}]}), "'i' and 'j'"),
+        ("{not json", "line 1"),
+        ('{"version": 1, "n": %s, "edges": []}' % ("1" * 5000), "digits"),
+    ]
+    path = tmp_path / "net.json"
+    for text, match in cases:
+        path.write_text(text)
+        with pytest.raises(NetworkFormatError, match=r"net\.json: .*" + match):
+            load_network(path)
+    path.write_bytes(b'{"version": 1, "n": 2, "edges": [], "labels": ["\xff"]}')
+    with pytest.raises(NetworkFormatError, match=r"net\.json: not UTF-8 text"):
+        load_network(path)
 
 
 def test_network_file_round_trip(tmp_path):
@@ -228,6 +244,9 @@ def test_bus_spec_parser_rejects_malformed_entries(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(NetworkFormatError):
         load_bus_spec(path)
+    path.write_bytes(b"\xff" + json.dumps(payload).encode())  # a byte that is not UTF-8
+    with pytest.raises(NetworkFormatError, match=r"spec\.json: not UTF-8 text"):
+        load_bus_spec(path)
 
 
 _NON_FINITE_OR_BOOL = ["[NaN, 0]", "[0, -Infinity]", "[1e999, 0]", "[1" + "0" * 400 + ", 0]",
@@ -250,3 +269,59 @@ def test_bus_spec_file_rejects_non_finite_or_bool_admittance(tmp_path, y):
             {"from_phase": "a", "to_phase": "a", "y": "Y"}]}]}).replace('"Y"', y))
     with pytest.raises(NetworkFormatError, match=r"spec\.json: bad coupling entry"):
         load_bus_spec(path)
+
+
+_NETWORKS = pathlib.Path(__file__).resolve().parents[1] / "networks"
+
+# a bool, which json loads as an int subclass, or another scalar a hand edit leaves,
+# or arbitrary JSON
+_JSON_VALUES = (
+    st.booleans()
+    | st.sampled_from([None, 0, -1, 1.0, 2**70, "", "a", [], {}])
+    | st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                   lambda inner: st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                   max_leaves=4))
+
+
+def _field_paths(node, prefix=()):
+    """Key path to every object field and list item below node."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize("name", ["cycle5.json", "lateral3_busspec.json"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edit_count=st.integers(1, 2), data=st.data())
+def test_edited_network_or_bus_spec_file_loads_or_raises_format_error(name, edit_count, data):
+    """Deleting or replacing one or two fields never escapes NetworkFormatError.
+
+    A network that loads has int node counts and edge endpoints, never bool.
+    """
+    payload = json.loads((_NETWORKS / name).read_text())
+    for _ in range(edit_count):
+        paths = list(_field_paths(payload))
+        if not paths:
+            break
+        *parent_path, key = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, parent_path, payload)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON_VALUES)
+    load = load_network if name == "cycle5.json" else load_bus_spec
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / name
+        path.write_text(json.dumps(payload))
+        try:
+            loaded = load(path)
+        except NetworkFormatError:
+            return
+    if load is load_network:
+        assert type(loaded.graph.n) is int
+        assert all(type(node) is int for edge in loaded.graph.edges for node in edge)
+    else:
+        assert isinstance(loaded, BusSpec)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gridident import (NoiseSpec, PriorTopology, add_noise, complete_graph,
                        constraint_residual, estimate_vector_ls, incidence_matrix,
-                       plug_in_ols, random_admittances, realified_coefficient,
+                       least_squares, plug_in_ols, random_admittances, realified_coefficient,
                        save_trace, solve_stls, stack_coefficients, synthesize,
                        synthesize_independent, voltage_coefficient)
 from gridident.stls import _kkt_residual, _newton_matrix, _split_step
@@ -185,6 +185,38 @@ def test_constraint_residual_is_the_per_point_equation(n, tau, seed):
                        rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(3, 7), tau=st.integers(1, 4), complete=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_edge_orientation_does_not_change_the_estimate(n, tau, complete, seed):
+    """Flipping incidence columns leaves both solvers' outputs unchanged bit for bit.
+
+    Every product with a flipped column flips twice, so both the Cholesky path
+    and the lstsq fallback (complete priors below n-1 points) see the same numbers.
+    """
+    from gridident import random_connected_graph, stls, structured_least_squares
+    rng = np.random.default_rng(seed)
+    net = random_admittances(random_connected_graph(n, rng, 0.5), rng)
+    prior = PriorTopology.complete(n) if complete else PriorTopology.explicit(net.graph)
+    ms = add_noise(synthesize(net, tau, [seed, 1]), NoiseSpec(1e-3), [seed, 2])
+    h = incidence_matrix(prior.graph)
+    flipped = h * rng.choice([-1.0, 1.0], size=prior.graph.e)
+    v, cur = ms.voltage_matrix(), ms.current_matrix()
+
+    y, diag = structured_least_squares(ms, h)
+    y_f, diag_f = structured_least_squares(ms, flipped)
+    assert np.array_equal(y, y_f) and diag == diag_f
+    dv, di = 1e-3 * v[::-1], 1e-3 * cur[::-1]
+    assert np.array_equal(constraint_residual(h, v, cur, dv, di, y),
+                          constraint_residual(flipped, v, cur, dv, di, y))
+    sol = solve_stls(ms, prior)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stls, "incidence_matrix", lambda graph: flipped)
+        sol_f = solve_stls(ms, prior)
+    assert np.array_equal(sol.y, sol_f.y)
+    assert (sol.converged, sol.uniqueness) == (sol_f.converged, sol_f.uniqueness)
+
+
 @pytest.mark.parametrize("prior_kind", ["complete", "tree", "minus_one"])
 def test_zero_noise_degeneracy(prior_kind):
     from gridident import random_tree
@@ -271,8 +303,7 @@ def test_noisy_solve_converges_and_improves():
     sol = solve_stls(ms, prior)
     assert sol.converged and sol.kkt_residual <= 1e-5
     a, i = stack_coefficients(ms, incidence_matrix(prior.graph))
-    from gridident import minimum_norm_vector
-    y_ls = minimum_norm_vector(a, i)
+    y_ls = least_squares(a, i)[0]
     err_stls = np.sum(np.abs(sol.y - net.y))
     err_ls = np.sum(np.abs(y_ls - net.y))
     assert err_stls <= err_ls * 1.2  # structured solve should not lose to plain LS
@@ -306,6 +337,18 @@ def test_non_convergence_is_flagged():
     sol = solve_stls(ms, prior, max_iter=0)
     assert not sol.converged
     assert sol.kkt_residual > 1e-5
+
+
+def test_iterations_names_the_returned_iterate():
+    """A non-converging solve returns its best iterate and reports that iterate's index."""
+    from gridident import random_connected_graph
+    rng = np.random.default_rng([12, 1])
+    net = random_admittances(random_connected_graph(7, rng, 0.4), rng)
+    ms = add_noise(synthesize(net, 3, [1, 3]), NoiseSpec(1e-2), [1, 9])
+    sol = solve_stls(ms, PriorTopology.complete(7))
+    assert not sol.converged and len(sol.trace) == 51  # every one of max_iter steps ran
+    assert sol.iterations == 1
+    assert sol.trace[sol.iterations][1] == sol.kkt_residual == min(row[1] for row in sol.trace)
 
 
 def test_trace_file(tmp_path):

@@ -256,6 +256,10 @@ def test_measurement_file_errors(tmp_path):
     hole.write_text("k,node,V_re,V_im,I_re,I_im\n1,1,1,0,0,0\n1,2,1,0,0,0\n2,1,1,0,0,0\n")
     with pytest.raises(NetworkFormatError, match=r"\(k, node\) = \(2, 2\)"):
         load_measurements(hole)
+    undecodable = tmp_path / "latin1.csv"  # a byte that is not UTF-8
+    undecodable.write_bytes(b"# note=\xe9\nk,node,V_re,V_im,I_re,I_im\n1,1,1,0,0,0\n")
+    with pytest.raises(NetworkFormatError, match=r"latin1\.csv: not UTF-8 text"):
+        load_measurements(undecodable)
 
 
 def test_operating_point_validation():

@@ -107,8 +107,7 @@ def test_score_spurious_edge_counting():
     y_hat[idx[(1, 3)]] = 0.5 + 0.5j  # one invented edge
     from gridident import TopologyEstimate
     edges_hat = tuple(e for e, v in zip(hyp.edges, y_hat) if v != 0)
-    est = TopologyEstimate(y_hat=y_hat, hypothesis=hyp, edges_hat=edges_hat,
-                           graph_hat=NetworkGraph(5, edges_hat), alpha=0.0,
+    est = TopologyEstimate(y_hat=y_hat, hypothesis=hyp, edges_hat=edges_hat, alpha=0.0,
                            tau=4, prior_kind="none", method="exact")
     score = score_topology(est, truth)
     assert score.true_positives == 5 and score.false_positives == 1

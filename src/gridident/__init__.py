@@ -14,18 +14,17 @@ from .netmodel import (AdmittanceNetwork, Branch, Bus, BusSpec, Coupling,
                        phase_expand, random_admittances, reconstruct_full,
                        reduce_slack, save_bus_spec, save_network,
                        vector_from_matrix)
-from .synth import (MeasurementSet, NoiseSpec, OperatingPoint, add_noise,
-                    average_snapshots, currents_from_voltages,
-                    default_base_voltage, load_measurements, perturb_voltages,
-                    random_voltage_matrix, save_measurements,
-                    stack_coefficients, synthesize, synthesize_independent,
-                    voltage_coefficient)
+from .synth import (MeasurementSet, NoiseSpec, add_noise, average_snapshots,
+                    currents_from_voltages, default_base_voltage,
+                    load_measurements, perturb_voltages, random_voltage_matrix,
+                    save_measurements, stack_coefficients, synthesize,
+                    synthesize_independent, voltage_coefficient)
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic,
                              build_reduced_measurements, estimate_reduced,
                              estimate_vector_ls, least_squares, min_measurements,
                              structured_least_squares, uniqueness_diagnostic)
 from .stls import (StlsSolution, constraint_residual, plug_in_ols, realified_coefficient,
-                   save_trace, solve_stls)
+                   solve_stls)
 from .topo_recover import (PhaseIdentification, TopologyEstimate, TopologyScore,
                            choose_method, estimate_topology, identify_phases,
                            identify_topology, score_topology, threshold,

@@ -243,11 +243,15 @@ def _is_pair(y) -> bool:  # json reads NaN, Infinity and huge ints; bools are in
         type(v) in (int, float) and abs(v) <= sys.float_info.max for v in y)
 
 
-def network_from_payload(payload: dict) -> AdmittanceNetwork:
-    _require(isinstance(payload, dict), "top level must be an object")
-    version = payload.get("version")
+def check_version(version) -> None:
+    """The one version rule of every input file: the declared version must be FILE_VERSION."""
     _require(type(version) is int and version == FILE_VERSION,  # bools are ints
              f"unsupported file version {version!r} (expected {FILE_VERSION})")
+
+
+def network_from_payload(payload: dict) -> AdmittanceNetwork:
+    _require(isinstance(payload, dict), "top level must be an object")
+    check_version(payload.get("version"))
     n = payload.get("n")
     _require(type(n) is int and n >= 1, f"field 'n' must be a positive integer, got {n!r}")
     raw_edges = payload.get("edges")
@@ -354,11 +358,17 @@ def save_bus_spec(spec: BusSpec, path) -> None:
 
 
 def load_bus_spec(path) -> BusSpec:
-    """Read a standalone bus-spec file or the bus_spec block of a network file."""
+    """Read a standalone bus-spec file or the bus_spec block of a network file.
+
+    A file that declares a version must declare FILE_VERSION; one that
+    declares none still loads.
+    """
     payload = _read_json(path)
-    if isinstance(payload, dict) and "bus_spec" in payload:
-        payload = payload["bus_spec"]
     try:
+        if isinstance(payload, dict) and "version" in payload:
+            check_version(payload["version"])
+        if isinstance(payload, dict) and "bus_spec" in payload:
+            payload = payload["bus_spec"]
         return bus_spec_from_payload(payload)
     except NetworkFormatError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from exc

@@ -17,7 +17,6 @@ decides when it replaces the structured solve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,15 +226,6 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     return StlsSolution(y=best_y, s=best_s, iterations=best_it,
                         kkt_residual=best_norm, converged=best_norm <= tol,
                         trace=tuple(trace), uniqueness=uniqueness)
-
-
-def save_trace(solution: StlsSolution, path) -> None:
-    """Per-iteration convergence record for plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "kkt_residual", "constraint_norm", "step_norm"])
-        for row in solution.trace:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
 
 
 def plug_in_ols(sets, prior: PriorTopology) -> np.ndarray:

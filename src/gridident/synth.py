@@ -3,19 +3,26 @@
 Base voltage profiles, perturbed operating points with Kirchhoff-consistent
 currents, Gaussian measurement noise, snapshot averaging, and assembly of the
 coefficient matrix that maps edge admittances to nodal current injections.
+
+A MeasurementSet stores its tau operating points as one read-only complex
+tau x 2 x n array: points[t, 0] holds the voltages of point t+1 and
+points[t, 1] its currents. Slicing the leading axis selects points, so
+MeasurementSet(ms.points[:k]) is the set of ms's first k points.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, ConsistencyError, NetworkFormatError
 from .graph_core import NetworkGraph, incidence_matrix
-from .netmodel import AdmittanceNetwork, matrix_from_vector, read_text
+from .netmodel import (FILE_VERSION, AdmittanceNetwork, check_version, matrix_from_vector,
+                       read_text)
 
 PERTURB_FRACTION = 0.05
 
@@ -50,31 +57,16 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class OperatingPoint:
-    """One synchronized snapshot of nodal voltages and injected currents."""
-
-    V: np.ndarray
-    I: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        v = np.asarray(self.V, dtype=complex)
-        i = np.asarray(self.I, dtype=complex)
-        if v.shape != i.shape or v.ndim != 1:
-            raise ValueError("voltage and current vectors must be 1-d and equal length")
-        object.__setattr__(self, "V", v)
-        object.__setattr__(self, "I", i)
-
-    @property
-    def n(self) -> int:
-        return self.V.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """A stack of operating points indexed 1..tau, plus generation metadata."""
+    """tau operating points as one complex tau x 2 x n array, plus generation metadata.
 
-    points: tuple[OperatingPoint, ...]
+    points[t] stacks the nodal voltages of point t+1 over its injected
+    currents. The constructor stores a read-only copy of any array-like of
+    that shape, so MeasurementSet(ms.points[:k], ...) holds ms's first k
+    points and no later write to the input reaches the set.
+    """
+
+    points: np.ndarray
     noisy: bool = False
     noise_spec: NoiseSpec | None = None
     seed: object = None
@@ -82,29 +74,27 @@ class MeasurementSet:
     surrogate: bool = False
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("a measurement set needs at least one operating point")
-        n = self.points[0].n
-        for pos, p in enumerate(self.points, start=1):
-            if p.n != n:
-                raise AlignmentError("operating points disagree on node count")
-            if p.k != pos:
-                raise ValueError(f"operating point {pos} carries index {p.k}")
+        points = np.array(self.points, dtype=complex)
+        if points.ndim != 3 or points.shape[1] != 2 or 0 in points.shape:
+            raise ValueError(
+                f"points must be a tau x 2 x n array with tau, n >= 1, got shape {points.shape}")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @property
     def n(self) -> int:
-        return self.points[0].n
+        return self.points.shape[2]
 
     @property
     def tau(self) -> int:
-        return len(self.points)
+        return self.points.shape[0]
 
     def voltage_matrix(self) -> np.ndarray:
-        """n-by-tau matrix with one column per operating point."""
-        return np.column_stack([p.V for p in self.points])
+        """New n-by-tau array with one column per operating point."""
+        return self.points[:, 0].T.copy()
 
     def current_matrix(self) -> np.ndarray:
-        return np.column_stack([p.I for p in self.points])
+        return self.points[:, 1].T.copy()
 
 
 def default_base_voltage(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,11 +157,7 @@ def synthesize(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
         raise ValueError("tau must be >= 1")
     v1 = default_base_voltage(net.graph.n, _stream(seed, _TAG_SYNTH, 0))
     voltages = [v1] + perturb_voltages(v1, tau - 1, seed)
-    points = tuple(
-        OperatingPoint(v, currents_from_voltages(net, v), k)
-        for k, v in enumerate(voltages, start=1)
-    )
-    return MeasurementSet(points, noisy=False, seed=seed)
+    return MeasurementSet([(v, currents_from_voltages(net, v)) for v in voltages], seed=seed)
 
 
 def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
@@ -184,11 +170,9 @@ def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> Measuremen
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    points = []
-    for k in range(1, tau + 1):
-        v = random_voltage_matrix(net.graph.n, 1, _stream(seed, _TAG_INDEPENDENT, k)).ravel()
-        points.append(OperatingPoint(v, currents_from_voltages(net, v), k))
-    return MeasurementSet(tuple(points), noisy=False, seed=seed)
+    voltages = [random_voltage_matrix(net.graph.n, 1, _stream(seed, _TAG_INDEPENDENT, k)).ravel()
+                for k in range(1, tau + 1)]
+    return MeasurementSet([(v, currents_from_voltages(net, v)) for v in voltages], seed=seed)
 
 
 def add_noise(ms: MeasurementSet, spec: NoiseSpec, seed) -> MeasurementSet:
@@ -199,14 +183,12 @@ def add_noise(ms: MeasurementSet, spec: NoiseSpec, seed) -> MeasurementSet:
     """
     if ms.noisy:
         raise ValueError("measurement set is already noisy")
-    sigma = spec.sigma_scale * np.abs(ms.points[0].V)
-    points = []
-    for p in ms.points:
-        rng = _stream(seed, _TAG_NOISE, p.k)
-        dv = rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)
-        di = rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)
-        points.append(OperatingPoint(p.V + dv, p.I + di, p.k))
-    return MeasurementSet(tuple(points), noisy=spec.sigma_scale > 0, noise_spec=spec,
+    sigma = spec.sigma_scale * np.abs(ms.points[0, 0])
+    # point k's stream draws Re dV, Im dV, Re dI, Im dI in turn
+    draws = np.array([_stream(seed, _TAG_NOISE, k).normal(0.0, sigma, (4, ms.n))
+                      for k in range(1, ms.tau + 1)])
+    return MeasurementSet(ms.points + (draws[:, 0::2] + 1j * draws[:, 1::2]),
+                          noisy=spec.sigma_scale > 0, noise_spec=spec,
                           seed=ms.seed, noise_seed=seed)
 
 
@@ -220,12 +202,8 @@ def average_snapshots(sets) -> MeasurementSet:
         if ms.n != first.n or ms.tau != first.tau:
             raise AlignmentError(
                 f"cannot average sets of shape ({ms.n}, {ms.tau}) and ({first.n}, {first.tau})")
-    points = []
-    for k in range(first.tau):
-        v = np.mean([ms.points[k].V for ms in sets], axis=0)
-        i = np.mean([ms.points[k].I for ms in sets], axis=0)
-        points.append(OperatingPoint(v, i, k + 1))
-    return MeasurementSet(tuple(points), noisy=any(ms.noisy for ms in sets),
+    return MeasurementSet(np.mean([ms.points for ms in sets], axis=0),
+                          noisy=any(ms.noisy for ms in sets),
                           noise_spec=first.noise_spec, seed=first.seed, surrogate=True)
 
 
@@ -246,13 +224,13 @@ def voltage_coefficient(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def stack_coefficients(ms: MeasurementSet, h: np.ndarray):
     """Row-stack of per-point coefficient matrices and the matching current stack."""
-    a = np.vstack([voltage_coefficient(h, p.V) for p in ms.points])
-    i = np.concatenate([p.I for p in ms.points])
-    return a, i
+    a = voltage_coefficient(h, ms.voltage_matrix())  # n x e x tau
+    return a.transpose(2, 0, 1).reshape(-1, a.shape[1]), ms.points[:, 1].flatten()
 
 
 # -- measurement file encoding -----------------------------------------------
 
+_MAGIC = "gridident-measurements"
 _HEADER = ["k", "node", "V_re", "V_im", "I_re", "I_im"]
 
 
@@ -276,7 +254,7 @@ def _parse_flag(text: str) -> bool:
 def save_measurements(ms: MeasurementSet, path) -> None:
     """Write one CSV row per (measurement index, node); floats keep full precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# gridident-measurements v1\n")
+        fh.write(f"# {_MAGIC} v{FILE_VERSION}\n")
         fh.write(f"# noisy={'true' if ms.noisy else 'false'}\n")
         if ms.noise_spec is not None:
             fh.write(f"# sigma_scale={ms.noise_spec.sigma_scale!r}\n")
@@ -288,11 +266,11 @@ def save_measurements(ms: MeasurementSet, path) -> None:
             fh.write("# surrogate=true\n")
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
-        for p in ms.points:
-            for node in range(1, p.n + 1):
-                v, i = complex(p.V[node - 1]), complex(p.I[node - 1])
-                writer.writerow([p.k, node, repr(v.real), repr(v.imag),
-                                 repr(i.real), repr(i.imag)])
+        # tau x n x 4 Python floats: V_re, V_im, I_re, I_im of point k at node
+        rows = ms.points.transpose(0, 2, 1).copy().view(float).tolist()
+        for k, point in enumerate(rows, start=1):
+            for node, values in enumerate(point, start=1):
+                writer.writerow([k, node, *map(repr, values)])
 
 
 def load_measurements(path) -> MeasurementSet:
@@ -309,6 +287,13 @@ def load_measurements(path) -> MeasurementSet:
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
+            elif body.startswith(_MAGIC):  # "# gridident-measurements v1"; optional
+                declared = body[len(_MAGIC):].strip()
+                number = re.fullmatch(r"v([0-9]+)", declared)
+                try:
+                    check_version(int(number[1]) if number else declared)
+                except (NetworkFormatError, ValueError) as exc:  # or past int's digit limit
+                    raise NetworkFormatError(f"{path}: line {lineno}: {exc}") from exc
             continue
         fields = text.split(",")  # save_measurements never quotes a field
         if not header_seen:
@@ -341,7 +326,6 @@ def load_measurements(path) -> MeasurementSet:
         raise NetworkFormatError(f"{path}: no row for (k, node) = {missing}")
     # each row's two (re, im) pairs, read as complex: V and I of point k at node
     vi = np.array([by_key[key] for key in sorted(by_key)]).view(complex).reshape(tau, n, 2)
-    points = tuple(OperatingPoint(vi[t, :, 0], vi[t, :, 1], t + 1) for t in range(tau))
 
     def parsed(key, parse):
         if key not in meta:
@@ -352,7 +336,7 @@ def load_measurements(path) -> MeasurementSet:
             raise NetworkFormatError(f"{path}: # {key}={meta[key]}: {exc}") from exc
 
     return MeasurementSet(
-        points,
+        vi.transpose(0, 2, 1),
         noisy=bool(parsed("noisy", _parse_flag)),
         noise_spec=parsed("sigma_scale", lambda text: NoiseSpec(float(text))),
         seed=parsed("seed", _parse_seed),

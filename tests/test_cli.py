@@ -99,7 +99,7 @@ def test_noise_roundtrip(tmp_path, cycle5):
     noisy = load_measurements(noisy_path)
     clean = load_measurements(ms_path)
     assert noisy.noisy and not clean.noisy
-    assert not np.array_equal(noisy.points[0].V, clean.points[0].V)
+    assert not np.array_equal(noisy.points[0, 0], clean.points[0, 0])
 
 
 def test_sweep_outputs(tmp_path, cycle5):

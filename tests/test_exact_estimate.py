@@ -50,10 +50,9 @@ def test_min_measurements_explicit_is_heuristic():
 
 
 def test_build_reduced_flat_profile_is_zero():
-    from gridident import MeasurementSet, OperatingPoint
+    from gridident import MeasurementSet
     v = (1.0 + 0.5j) * np.ones(4)
-    pts = tuple(OperatingPoint(v, np.zeros(4, dtype=complex), k) for k in (1, 2))
-    ms = MeasurementSet(pts)
+    ms = MeasurementSet([(v, np.zeros(4, dtype=complex))] * 2)
     vbar, ibar = build_reduced_measurements(ms)
     assert np.abs(vbar).max() == 0
     assert vbar.shape == (3, 2)
@@ -158,7 +157,7 @@ def test_rank_monotone_in_measurements():
     ms = synthesize_independent(net, 6, seed=21)
     ranks = []
     for tau in range(1, 7):
-        a = np.vstack([voltage_coefficient(h, p.V) for p in ms.points[:tau]])
+        a = np.vstack([voltage_coefficient(h, v) for v in ms.points[:tau, 0]])
         ranks.append(uniqueness_diagnostic(a, net.graph.e).rank)
     assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 

@@ -238,11 +238,16 @@ _TWO_BUSES = [{"name": "b1", "phases": "abc"}, {"name": "b2", "phases": "abc"}]
     {"buses": _TWO_BUSES, "branches": [{"from": ["b1"], "to": "b2", "couplings": []}]},
     {"buses": [{"name": 7, "phases": "abc"}], "branches": []},
     {"buses": {"name": "b1"}, "branches": []},
+    {"version": 9, "buses": _TWO_BUSES, "branches": []},
+    {"version": True, "buses": _TWO_BUSES, "branches": []},
+    {"version": "1", "buses": _TWO_BUSES, "branches": []},
+    # a network file's version governs the bus_spec block it carries
+    {"version": 9, "n": 2, "edges": [], "bus_spec": {"buses": _TWO_BUSES, "branches": []}},
 ])
 def test_bus_spec_parser_rejects_malformed_entries(tmp_path, payload):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(NetworkFormatError):
+    with pytest.raises(NetworkFormatError, match=r"spec\.json: "):
         load_bus_spec(path)
     path.write_bytes(b"\xff" + json.dumps(payload).encode())  # a byte that is not UTF-8
     with pytest.raises(NetworkFormatError, match=r"spec\.json: not UTF-8 text"):

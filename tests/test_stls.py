@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gridident import (NoiseSpec, PriorTopology, add_noise, complete_graph,
                        constraint_residual, estimate_vector_ls, incidence_matrix,
                        least_squares, plug_in_ols, random_admittances, realified_coefficient,
-                       save_trace, solve_stls, stack_coefficients, synthesize,
+                       solve_stls, stack_coefficients, synthesize,
                        synthesize_independent, voltage_coefficient)
 from gridident.stls import _kkt_residual, _newton_matrix, _split_step
 
@@ -104,8 +104,8 @@ def test_constraint_residual_matches_complex_recomputation():
     y = rng.standard_normal(e) + 1j * rng.standard_normal(e)
     g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(), dv, di, y)
     # independent per-point recomputation of the noisy equation
-    for k, point in enumerate(ms.points):
-        lhs = voltage_coefficient(h, point.V + dv[:, k]) @ y - (point.I + di[:, k])
+    for k, (v_k, cur_k) in enumerate(ms.points):
+        lhs = voltage_coefficient(h, v_k + dv[:, k]) @ y - (cur_k + di[:, k])
         assert np.abs(g[:, k] - lhs).max() <= 1e-12
 
 
@@ -349,19 +349,6 @@ def test_iterations_names_the_returned_iterate():
     assert not sol.converged and len(sol.trace) == 51  # every one of max_iter steps ran
     assert sol.iterations == 1
     assert sol.trace[sol.iterations][1] == sol.kkt_residual == min(row[1] for row in sol.trace)
-
-
-def test_trace_file(tmp_path):
-    n = 4
-    prior = PriorTopology.complete(n)
-    net = _network(n, 83)
-    ms = add_noise(synthesize_independent(net, n - 1, seed=84), NoiseSpec(0.001), seed=85)
-    sol = solve_stls(ms, prior)
-    path = tmp_path / "trace.csv"
-    save_trace(sol, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,kkt_residual,constraint_norm,step_norm"
-    assert len(lines) == len(sol.trace) + 1
 
 
 def test_rank_deficient_warns():

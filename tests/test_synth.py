@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, AlignmentError, MeasurementSet,
-                       NetworkFormatError, NetworkGraph, NoiseSpec, OperatingPoint, add_noise,
+                       NetworkFormatError, NetworkGraph, NoiseSpec, add_noise,
                        average_snapshots, complete_graph, currents_from_voltages,
                        incidence_matrix, load_measurements, matrix_from_vector,
                        perturb_voltages, random_admittances, save_measurements,
@@ -75,8 +75,8 @@ def test_perturb_deterministic_and_nested():
 def test_synthesize_conservation():
     net = _net(7, 24)
     ms = synthesize(net, 5, seed=3)
-    for p in ms.points:
-        assert abs(p.I.sum()) <= 1e-10 * max(np.linalg.norm(p.I), 1e-30)
+    for cur in ms.points[:, 1]:
+        assert abs(cur.sum()) <= 1e-10 * max(np.linalg.norm(cur), 1e-30)
     assert not ms.noisy and ms.tau == 5 and ms.n == 7
 
 
@@ -85,7 +85,7 @@ def test_synthesize_distinct_across_seeds():
     a = synthesize(net, 4, seed=1)
     b = synthesize(net, 4, seed=2)
     for k in range(1, 4):
-        assert np.all(a.points[k].V != b.points[k].V)
+        assert np.all(a.points[k, 0] != b.points[k, 0])
 
 
 def test_synthesize_bit_identical_and_prefix():
@@ -93,23 +93,28 @@ def test_synthesize_bit_identical_and_prefix():
     a = synthesize(net, 6, seed=5)
     b = synthesize(net, 6, seed=5)
     short = synthesize(net, 3, seed=5)
-    for k in range(6):
-        assert np.array_equal(a.points[k].V, b.points[k].V)
-        assert np.array_equal(a.points[k].I, b.points[k].I)
-    for k in range(3):
-        assert np.array_equal(a.points[k].V, short.points[k].V)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.points[:3, 0], short.points[:, 0])
 
 
 def test_synthesize_independent_prefix():
     net = _net(5, 27)
     long = synthesize_independent(net, 6, seed=8)
     short = synthesize_independent(net, 2, seed=8)
-    for k in range(2):
-        assert np.array_equal(long.points[k].V, short.points[k].V)
+    assert np.array_equal(long.points[:2, 0], short.points[:, 0])
 
 
 def _noisy(make):
     return lambda net, tau, seed: add_noise(make(net, tau, seed), NoiseSpec(1e-3), [seed, 1])
+
+
+def _saved(make):
+    def saved_and_loaded(net, tau, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "ms.csv"
+            save_measurements(make(net, tau, seed), path)
+            return load_measurements(path)
+    return saved_and_loaded
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -119,18 +124,18 @@ def test_tau_prefix_is_bit_exact(n, tau, extra, seed):
     """The first tau points of a longer set equal a tau-point set, V and I, bit for bit."""
     net = _net(n, [29, seed])
     for make in (synthesize, synthesize_independent, _noisy(synthesize),
-                 _noisy(synthesize_independent)):
+                 _noisy(synthesize_independent), _saved(_noisy(synthesize))):
         long, short = make(net, tau + extra, seed), make(net, tau, seed)
         assert np.array_equal(long.voltage_matrix()[:, :tau], short.voltage_matrix())
         assert np.array_equal(long.current_matrix()[:, :tau], short.current_matrix())
+        assert MeasurementSet(long.points[:tau]).points.tobytes() == short.points.tobytes()
 
 
 def test_add_noise_zero_scale_identity():
     net = _net(4, 28)
     ms = synthesize(net, 3, seed=1)
     out = add_noise(ms, NoiseSpec(0.0), seed=2)
-    for p, q in zip(ms.points, out.points):
-        assert np.array_equal(p.V, q.V) and np.array_equal(p.I, q.I)
+    assert np.array_equal(ms.points, out.points)
     assert not out.noisy
 
 
@@ -138,9 +143,9 @@ def test_add_noise_statistics():
     n, draws = 4, 10_000
     net = _net(n, 29)
     ms = synthesize(net, 1, seed=1)
-    sigma = 0.001 * np.abs(ms.points[0].V)
-    samples = np.array([add_noise(ms, NoiseSpec(0.001), seed=s).points[0].V.real
-                        - ms.points[0].V.real for s in range(draws)])
+    sigma = 0.001 * np.abs(ms.points[0, 0])
+    samples = np.array([add_noise(ms, NoiseSpec(0.001), seed=s).points[0, 0].real
+                        - ms.points[0, 0].real for s in range(draws)])
     assert np.all(np.abs(samples.mean(axis=0)) < 3 * sigma / np.sqrt(draws))
     assert np.all(np.abs(samples.std(axis=0) - sigma) < 0.05 * sigma)
 
@@ -148,9 +153,9 @@ def test_add_noise_statistics():
 def test_add_noise_leaves_input_untouched():
     net = _net(4, 30)
     ms = synthesize(net, 2, seed=1)
-    before = ms.points[0].V.copy()
+    before = ms.points.copy()
     noisy = add_noise(ms, NoiseSpec(0.01), seed=3)
-    assert np.array_equal(ms.points[0].V, before)
+    assert np.array_equal(ms.points, before)
     assert noisy.noisy
     with pytest.raises(ValueError):
         add_noise(noisy, NoiseSpec(0.01), seed=4)
@@ -160,13 +165,12 @@ def test_average_identity_cases():
     net = _net(5, 31)
     ms = synthesize(net, 3, seed=1)
     avg = average_snapshots([ms, ms, ms, ms])  # power of two: the mean is exact
-    for p, q in zip(ms.points, avg.points):
-        assert np.array_equal(p.V, q.V) and np.array_equal(p.I, q.I)
+    assert np.array_equal(ms.points, avg.points)
     assert avg.surrogate
     odd = average_snapshots([ms, ms, ms])
     assert np.allclose(odd.voltage_matrix(), ms.voltage_matrix(), rtol=1e-15)
     single = average_snapshots([ms])
-    assert np.array_equal(single.points[0].V, ms.points[0].V)
+    assert np.array_equal(single.points, ms.points)
 
 
 def test_average_error_scaling():
@@ -222,7 +226,7 @@ def test_stack_coefficients():
     h = incidence_matrix(net.graph)
     one = synthesize(net, 1, seed=2)
     a1, i1 = stack_coefficients(one, h)
-    assert np.array_equal(a1, voltage_coefficient(h, one.points[0].V))
+    assert np.array_equal(a1, voltage_coefficient(h, one.points[0, 0]))
     ms = synthesize(net, 4, seed=2)
     a, i = stack_coefficients(ms, h)
     assert a.shape == (20, net.graph.e)
@@ -238,8 +242,7 @@ def test_measurement_file_round_trip(tmp_path):
     loaded = load_measurements(path)
     assert loaded.noisy and loaded.seed == 7 and loaded.noise_seed == 8
     assert loaded.noise_spec.sigma_scale == 0.001
-    for p, q in zip(ms.points, loaded.points):
-        assert np.array_equal(p.V, q.V) and np.array_equal(p.I, q.I)
+    assert np.array_equal(ms.points, loaded.points)
 
 
 def test_measurement_file_errors(tmp_path):
@@ -263,10 +266,25 @@ def test_measurement_file_errors(tmp_path):
 
 
 def test_operating_point_validation():
+    """points must be a tau x 2 x n array with at least one point and one node."""
+    for shape in ((2, 3), (1, 3, 4), (0, 2, 4), (2, 2, 0)):
+        with pytest.raises(ValueError):
+            MeasurementSet(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_measurement_set_is_a_read_only_copy(tau):
+    """Writes to the input array or to voltage_matrix()'s result leave the set unchanged."""
+    rng = np.random.default_rng([44, tau])
+    raw = rng.standard_normal((tau, 2, 4)) + 1j * rng.standard_normal((tau, 2, 4))
+    ms = MeasurementSet(raw)
+    before = raw.copy()
+    raw[...] = 0
+    ms.voltage_matrix()[...] = 0
+    ms.current_matrix()[...] = 0
+    assert ms.points.tobytes() == before.tobytes()
     with pytest.raises(ValueError):
-        OperatingPoint(np.ones(3), np.ones(2), 1)
-    with pytest.raises(ValueError):
-        MeasurementSet((OperatingPoint(np.ones(2), np.zeros(2), 2),))
+        ms.points[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize("edit, where", [
@@ -278,6 +296,9 @@ def test_operating_point_validation():
     (lambda lines: ["# noise_seed=1,,2"] + lines, "noise_seed"),
     (lambda lines: [line.replace("# noisy=false", "# noisy=yes") for line in lines], "noisy"),
     (lambda lines: lines + ["# surrogate=1"], "surrogate"),
+    (lambda lines: ["# gridident-measurements v9"] + lines[1:], "line 1: .*version 9"),
+    (lambda lines: ["# gridident-measurements 1"] + lines[1:], "line 1: .*version '1'"),
+    (lambda lines: ["# gridident-measurements v" + "1" * 5000] + lines[1:], "line 1: "),
 ])
 def test_measurement_file_rejects_bad_values_and_metadata(tmp_path, edit, where):
     from gridident import NetworkFormatError

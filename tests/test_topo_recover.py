@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gridident import (AdmittanceNetwork, AlignmentError, Branch, Bus, BusSpec,
                        Coupling, HeuristicBoundWarning, InsufficientMeasurementsError,
                        MeasurementSet, NetworkGraph, NoiseSpec, NonUniqueError,
-                       OperatingPoint, PriorTopology, add_noise, complete_graph,
+                       PriorTopology, add_noise, complete_graph,
                        estimate_topology, identify_phases, identify_topology,
                        load_network, random_admittances, random_connected_graph,
                        random_tree, score_topology, synthesize, synthesize_independent,
@@ -315,9 +315,7 @@ def test_identify_is_node_permutation_equivariant(n, sigma, seed):
         ms = add_noise(ms, NoiseSpec(sigma), seed=[143, seed])
     perm = rng.permutation(n)  # node k + 1 becomes node perm[k] + 1
     inverse = np.argsort(perm)
-    relabelled = MeasurementSet(
-        tuple(OperatingPoint(p.V[inverse], p.I[inverse], p.k) for p in ms.points),
-        noisy=ms.noisy)
+    relabelled = MeasurementSet(ms.points[:, :, inverse], noisy=ms.noisy)
     prior = PriorTopology.complete(n)
     est = identify_topology(prior, n, None, ms)
     est_p = identify_topology(prior, n, None, relabelled)

@@ -6,9 +6,11 @@ threshold (require_measurements) and every solve's rank (require_unique).
 
 least_squares, one lstsq giving the minimum-norm solution and its rank, is
 the one exact solve, of the reduced system and of the edge-vector stack alike.
-structured_least_squares reaches its answer by Cholesky on the e-by-e normal
-equations without building the stack, and falls back to it when the system
-is rank-deficient or ill-conditioned.
+structured_least_squares reaches the same answer without building the stack:
+under a hypothesis that holds every node pair by one (n-1)-by-(n-1)
+eigendecomposition of the whitened reduced voltage Gram, in O(n^2 tau + n^3),
+and under any other hypothesis by Cholesky on the e-by-e normal equations. It
+falls back to the stack when the system is rank-deficient or ill-conditioned.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (HeuristicBoundWarning, InsufficientMeasurementsError, NonUn
                      OutOfRegimeError)
 from .graph_core import (Edge, NetworkGraph, complete_graph, is_tree,
                          numerical_rank, remove_edge)
+from .netmodel import reconstruct_full
 from .synth import MeasurementSet, stack_coefficients
 
 PRIOR_KINDS = ("none", "tree", "minus_one_edge", "explicit_graph")
@@ -40,7 +43,10 @@ _THRESHOLD_RULES = {
 # kappa(A) near 1e5: sigma_min/sigma_max of A is then far above lstsq's rank
 # cutoff eps*max(rows, cols), so full rank is the verdict lstsq would give, and
 # corrected semi-normal equations are accurate at that kappa(A) (Bjorck,
-# Numerical Methods for Least Squares Problems, 1996, section 6.6).
+# Numerical Methods for Least Squares Problems, 1996, section 6.6). The
+# complete-hypothesis path holds lambda_min/lambda_max of its whitened voltage
+# Gram, the exact reciprocal condition of its normal-equation operator, to the
+# same bound.
 _GRAM_RCOND_MIN = 1e-10
 
 
@@ -83,8 +89,11 @@ class PriorTopology:
 class UniquenessDiagnostic:
     """Rank of the coefficient matrix against the number of unknowns.
 
-    gram_rcond is the condition estimate of the Gram matrix when the Cholesky
-    path of structured_least_squares produced the solve, and None otherwise.
+    gram_rcond is the reciprocal condition of the normal equations when a fast
+    path of structured_least_squares produced the solve: LAPACK's estimate for
+    the Gram matrix on the Cholesky path, lambda_min/lambda_max of the whitened
+    reduced voltage Gram on the complete-hypothesis path. It is None when the
+    lstsq fallback made the solve.
     """
 
     rank: int
@@ -233,25 +242,67 @@ def _gram_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
     return y, float(rcond)
 
 
+def _complete_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
+    """(y, rcond) when h holds every node pair, or None unless it certifies full rank."""
+    n = h.shape[0]
+    vbar = v[1:] - v[0]
+    # Q = P P^T = I + 11^T for the slack reduction P = [-1, I] has the closed-form
+    # inverse square root I - (1 - 1/sqrt(n)) 11^T / (n-1); g = Q^{-1/2} U
+    q_isqrt = np.eye(n - 1) - (1.0 - 1.0 / math.sqrt(n)) / (n - 1)
+    whitened = q_isqrt @ vbar
+    # numpy only, for the thread-pool reason _gram_solve gives: with scipy's
+    # triangular solves in place of the matmuls, n = 40-48 solves took 8-20 ms
+    # on two cores
+    lam, u = np.linalg.eigh(whitened @ whitened.conj().T)
+    if not (lam[0] > 0 and lam[0] >= _GRAM_RCOND_MIN * lam[-1]):
+        return None
+    g = q_isqrt @ u
+    denom = lam[:, None] + lam
+
+    def solve(r):
+        # Z from Q Z C + C^T Z Q = B + B^T, C = vbar vbar^H, B = (P r) vbar^H
+        b = (r[1:] - r[0]) @ vbar.conj().T
+        z = g.conj() @ ((g.T @ (b + b.T) @ g) / denom) @ g.conj().T
+        return (z + z.T) / 2
+
+    z = solve(cur)
+    # one refinement step on the residual I - Y V
+    z += solve(cur - reconstruct_full(z) @ v)
+    # y_k = -Y[i_k, j_k] with i_k < j_k read off h, whatever each column's signs
+    _, nodes = np.nonzero(h.T)
+    return -reconstruct_full(z)[nodes[0::2], nodes[1::2]], float(lam[0] / lam[-1])
+
+
 def structured_least_squares(ms: MeasurementSet,
                              h: np.ndarray) -> tuple[np.ndarray, UniquenessDiagnostic]:
     """least_squares(*stack_coefficients(ms, h)) without building the stack when it can.
 
     Each operating point contributes the block H diag(d_t), d_t = H^T v_t, so
-    with D = H^T V the normal equations are G y = rowsum(conj(D) * (H^T I)),
-    G = (H^T H) * (conj(D) D^T). The fast path factors G by Cholesky, solves,
-    and takes one corrected semi-normal refinement step with the residual
-    I - H (D * y) formed block-wise. It runs only when the factorization
-    succeeds and its condition estimate is at least _GRAM_RCOND_MIN; the
-    diagnostic then reports full rank and that estimate as gram_rcond. Any
-    other system (rank-deficient, below the identifiability threshold, or
-    ill-conditioned) falls back to least_squares on the stack, whose
-    minimum-norm solution and rank are returned unchanged.
+    the stack's residual is Y V - I with Y = H diag(y) H^T. Two fast paths:
+
+    - When h holds every node pair (e = n(n-1)/2), Y is any Laplacian
+      P^T Z P, with P = [-1, I] and Z symmetric (n-1)-by-(n-1), and the normal
+      equations are Q Z C + C^T Z Q = B + B^T with Q = P P^T, C = Vbar Vbar^H,
+      Vbar = P V and B = (P I) Vbar^H. Whitening by Q^{-1/2} and one eigh of
+      Q^{-1/2} C Q^{-1/2} = U Lambda U^H turn this into division by
+      lambda_i + lambda_j (the Kronecker-sum form of a Sylvester equation,
+      Bartels & Stewart, CACM 1972). gram_rcond is lambda_min/lambda_max.
+    - Otherwise, with D = H^T V, it factors G = (H^T H) * (conj(D) D^T) by
+      Cholesky and solves G y = rowsum(conj(D) * (H^T I)); gram_rcond is
+      LAPACK's condition estimate of G.
+
+    Either takes one refinement step with the residual I - Y V formed without
+    the stack, and runs only when its reciprocal condition is at least
+    _GRAM_RCOND_MIN; the diagnostic then reports full rank. Any other system
+    (rank-deficient, below the identifiability threshold, or ill-conditioned)
+    falls back to least_squares on the stack, whose minimum-norm solution and
+    rank are returned unchanged.
     """
     h = np.asarray(h, dtype=float)
-    e = h.shape[1]
+    n, e = h.shape
+    solve = _complete_solve if e == n * (n - 1) // 2 else _gram_solve
     # an edgeless hypothesis goes to lstsq: LAPACK's condition estimate rejects a 0x0 matrix
-    solved = _gram_solve(h, ms.voltage_matrix(), ms.current_matrix()) if e else None
+    solved = solve(h, ms.voltage_matrix(), ms.current_matrix()) if e else None
     if solved is None:
         return least_squares(*stack_coefficients(ms, h))
     y, rcond = solved

@@ -249,9 +249,12 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder, alpha: float 
 def solver_outcome(est: TopologyEstimate) -> dict:
     """The estimator that ran and how its solve went.
 
-    Both paths report rank and unknowns, plus gram_rcond when the Cholesky
-    path (not the lstsq fallback) made the least-squares solve (stls: its warm
-    start); convergence and KKT residual are stls's, None on the exact path.
+    Both paths report rank and unknowns, plus gram_rcond when a fast path of
+    structured_least_squares (not the lstsq fallback) made the least-squares
+    solve (stls: its warm start): the Gram's Cholesky condition estimate, or
+    lambda_min/lambda_max of the whitened voltage Gram under a hypothesis that
+    holds every node pair. Convergence and KKT residual are stls's, None on the
+    exact path.
     """
     sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,
@@ -261,13 +264,12 @@ def solver_outcome(est: TopologyEstimate) -> dict:
 
 def topology_report(est: TopologyEstimate, score: TopologyScore | None = None) -> dict:
     """JSON-ready report of a recovered topology."""
+    kept = np.flatnonzero(est.y_hat)
+    edges = est.hypothesis.edges
     report = {
         **solver_outcome(est),
-        "edges": [
-            {"i": i, "j": j, "y": [float(val.real), float(val.imag)]}
-            for (i, j), val in zip(est.hypothesis.edges, est.y_hat)
-            if val != 0
-        ],
+        "edges": [{"i": edges[k][0], "j": edges[k][1], "y": [val.real, val.imag]}
+                  for k, val in zip(kept.tolist(), est.y_hat[kept].tolist())],
         "alpha": float(est.alpha),
         "relative": est.relative,
         "tau": est.tau,

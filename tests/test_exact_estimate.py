@@ -200,10 +200,13 @@ def test_solve_rank_matches_numerical_rank(n, kind, profile, tau_frac, seed):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(4, 9), kind=st.sampled_from(("complete", "minus_one", "tree")),
        profile=st.sampled_from(("independent", "flat")), tau_frac=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2**16))
-def test_structured_solve_matches_stacked_lstsq(n, kind, profile, tau_frac, seed):
-    """The Gram path reports lstsq's rank and, at full rank, lstsq's solution."""
-    from gridident import least_squares, structured_least_squares
+       sigma=st.sampled_from((0.0, 1e-3)), seed=st.integers(0, 2**16))
+def test_structured_solve_matches_stacked_lstsq(n, kind, profile, tau_frac, sigma, seed):
+    """Both fast paths report lstsq's rank and, at full rank, lstsq's solution.
+
+    Noisy input too: the stls warm start and plugin solve noisy sets here.
+    """
+    from gridident import NoiseSpec, add_noise, least_squares, structured_least_squares
     rng = np.random.default_rng(seed)
     prior = {"complete": lambda: PriorTopology.complete(n),
              "minus_one": lambda: PriorTopology.minus_one(n, (1, 2)),
@@ -212,6 +215,8 @@ def test_structured_solve_matches_stacked_lstsq(n, kind, profile, tau_frac, seed
     tau = 1 + round(tau_frac * (n - 1))
     make = synthesize_independent if profile == "independent" else synthesize
     ms = make(net, tau, seed=seed)
+    if sigma:
+        ms = add_noise(ms, NoiseSpec(sigma), seed=seed + 1)
     h = incidence_matrix(prior.graph)
     y, diag = structured_least_squares(ms, h)
     y_ls, diag_ls = least_squares(*stack_coefficients(ms, h))
@@ -226,9 +231,11 @@ def test_structured_solve_never_builds_well_conditioned_stack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense coefficient stack was built")
 
-    # exact_estimate binds the name at import, so both references are replaced
+    # exact_estimate binds the name at import, so both references are replaced;
+    # a hypothesis holding every pair needs no e-by-e Gram either
     monkeypatch.setattr(synth, "stack_coefficients", refuse)
     monkeypatch.setattr(exact_estimate, "stack_coefficients", refuse)
+    monkeypatch.setattr(exact_estimate, "_gram_solve", refuse)
     n = 8
     rng = np.random.default_rng(310)
     net = random_admittances(random_connected_graph(n, rng, 0.5), rng)

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import numpy as np
@@ -206,6 +207,9 @@ def test_topology_report_shape():
     report = topology_report(est, score_topology(est, net))
     assert {e["i"] for e in report["edges"]} <= set(range(1, 6))
     assert len(report["edges"]) == 5
+    reference = [{"i": i, "j": j, "y": [float(val.real), float(val.imag)]}
+                 for (i, j), val in zip(est.hypothesis.edges, est.y_hat) if val != 0]
+    assert json.dumps(report["edges"]) == json.dumps(reference)
     assert report["prior"] == "none" and report["tau"] == 4
     assert report["score"]["f1"] == 1.0
 
@@ -248,6 +252,31 @@ def test_solver_outcome_names_the_exact_solve():
     assert stls["method"] == "stls"
     assert stls["rank"] == stls["unknowns"] == 10
     assert stls["gram_rcond"] >= 1e-10
+
+
+@pytest.mark.parametrize("name", ["tree123.json", "feeder13_expanded.json"])
+def test_complete_prior_recovers_paper_scale_networks(monkeypatch, name):
+    """The paper's headline case at 32 and 123 nodes: no prior, tau = n-1 clean points.
+
+    Under the complete hypothesis the e-by-e Gram (e = 7503 for tree123, about
+    0.9 GB) and the dense stack are both refused; one (n-1)-by-(n-1) solve does it.
+    """
+    from gridident import exact_estimate, synth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the e-by-e Gram or the dense coefficient stack was built")
+
+    monkeypatch.setattr(exact_estimate, "_gram_solve", refuse)
+    monkeypatch.setattr(exact_estimate, "stack_coefficients", refuse)
+    monkeypatch.setattr(synth, "stack_coefficients", refuse)
+    net = load_network(CYCLE5.parent / name)
+    n = net.graph.n
+    est = identify_topology(PriorTopology.complete(n), n, None,
+                            synthesize_independent(net, n - 1, seed=n))
+    assert score_topology(est, net).f1 == 1
+    assert est.uniqueness.rank == est.uniqueness.unknowns == n * (n - 1) // 2
+    y_hat = dict(zip(est.hypothesis.edges, est.y_hat))
+    assert max(abs(y_hat[edge] - y) / abs(y) for edge, y in zip(net.graph.edges, net.y)) <= 1e-8
 
 
 @pytest.mark.parametrize("sigma, method", [(0.0, "exact"), (1e-3, "stls")])

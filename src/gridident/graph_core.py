@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRegimeError
 
 Edge = tuple[int, int]
 
@@ -170,27 +169,6 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
         r[pos, (i - 1) * tau:i * tau] = diff
         r[pos, (j - 1) * tau:j * tau] = -diff
     return r
-
-
-def trivial_motion_count(tau: int) -> int:
-    """Dimension of the rigid-motion space in tau dimensions: translations plus rotations."""
-    if tau < 1:
-        raise ValueError(f"dimension must be >= 1, got {tau}")
-    return tau + tau * (tau - 1) // 2
-
-
-def predicted_rank_minus_one_edge(n: int, tau: int) -> int:
-    """Generic rigidity-matrix rank n*tau - tau*(tau+1)/2 for rigid frameworks.
-
-    Only claimed for n >= 4 and n >= tau; outside that regime the prediction
-    is refused rather than guessed.
-    """
-    if tau < 1:
-        raise ValueError(f"measurement count must be >= 1, got {tau}")
-    if n < 4 or n < tau:
-        raise OutOfRegimeError(
-            f"rank prediction requires n >= 4 and n >= tau, got n={n}, tau={tau}")
-    return n * tau - trivial_motion_count(tau)
 
 
 def numerical_rank(m: np.ndarray) -> int:

@@ -62,25 +62,6 @@ def matrix_from_vector(net: AdmittanceNetwork) -> np.ndarray:
     return y_mat
 
 
-def _check_matrix_contract(y_mat: np.ndarray, rtol: float = 1e-9) -> None:
-    scale = max(float(np.abs(y_mat).max(initial=0.0)), 1e-30)
-    asym = float(np.abs(y_mat - y_mat.T).max(initial=0.0))
-    if asym > rtol * scale:
-        raise ConsistencyError(f"matrix is not symmetric (deviation {asym:.3e})")
-    rowsum = float(np.abs(y_mat.sum(axis=1)).max(initial=0.0))
-    if rowsum > rtol * scale:
-        raise ConsistencyError(f"matrix row sums are not zero (deviation {rowsum:.3e})")
-
-
-def vector_from_matrix(y_mat: np.ndarray, g: NetworkGraph) -> np.ndarray:
-    """Extract the per-edge admittance vector from a valid nodal matrix."""
-    y_mat = np.asarray(y_mat, dtype=complex)
-    if y_mat.shape != (g.n, g.n):
-        raise ConsistencyError(f"matrix shape {y_mat.shape} does not match n={g.n}")
-    _check_matrix_contract(y_mat)
-    return np.array([-y_mat[i - 1, j - 1] for i, j in g.edges])
-
-
 def reduce_slack(y_mat: np.ndarray) -> np.ndarray:
     """Drop the slack node (node 1) row and column."""
     y_mat = np.asarray(y_mat)

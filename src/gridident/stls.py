@@ -8,11 +8,14 @@ the Lagrangian. The residual, including the 2n-by-tau complex noise
 solve_stls returns, is formed for all points at once in complex arithmetic
 on n-by-tau arrays, with constraint_residual as the constraint; only the
 Newton matrix and its step are real, in the layout
-[per-point noise, real admittance parts, per-point multipliers] that the
-sparse LU factors. It returns its least-squares warm start's rank diagnostic
-and never warns. The plug-in ordinary least squares estimator averages
-replicate snapshots before one plain regression; topo_recover.choose_method
-decides when it replaces the structured solve.
+[per-point noise, real admittance parts, per-point multipliers]. That
+matrix is a symmetric saddle point whose blocks are all H diag(w) or
+H diag(y) H^T patterns, so it is assembled in sparse form from H's 2e
+nonzeros in O(tau*e) time and memory, and SuperLU factors it with a
+symmetric minimum-degree ordering. It returns its least-squares warm
+start's rank diagnostic and never warns. The plug-in ordinary least squares
+estimator averages replicate snapshots before one plain regression;
+topo_recover.choose_method decides when it replaces the structured solve.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import SolverFailureError
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic, _stack_adjoint,
                              require_unique, structured_least_squares)
 from .graph_core import incidence_matrix
-from .synth import MeasurementSet, average_snapshots, voltage_coefficient
+from .synth import MeasurementSet, average_snapshots
 
 _DAMPING_FLOOR = 1e-10
 _DAMPING_CAP = 1e8
@@ -42,6 +45,9 @@ class StlsSolution:
     its index (0: the warm start), and trace has a row for every iterate.
     s is the 2n-by-tau complex noise, one column per operating point: the
     voltage noise over the current noise. uniqueness is the warm start's rank diagnostic.
+    damping is the diagonal shift of the last Newton step (0.0 if none was
+    taken or none was needed): positive on rank-deficient input, or where a
+    step system was singular.
     """
 
     y: np.ndarray
@@ -51,22 +57,11 @@ class StlsSolution:
     converged: bool
     trace: tuple
     uniqueness: UniquenessDiagnostic
+    damping: float
 
     @property
     def objective(self) -> float:
         return 0.5 * float(np.vdot(self.s, self.s).real)
-
-
-def realified_coefficient(h: np.ndarray, v_re: np.ndarray, v_im: np.ndarray) -> np.ndarray:
-    """2n-by-2e real expansion [[B_re, -B_im], [B_im, B_re]] of the complex coefficient matrix.
-
-    n-by-tau voltage parts give one expansion per operating point, stacked
-    along a trailing axis as voltage_coefficient stacks them.
-    """
-    b_re = voltage_coefficient(h, v_re)
-    b_im = voltage_coefficient(h, v_im)
-    return np.concatenate([np.concatenate([b_re, -b_im], axis=1),
-                           np.concatenate([b_im, b_re], axis=1)])
 
 
 def constraint_residual(h: np.ndarray, v: np.ndarray, cur: np.ndarray,
@@ -126,41 +121,83 @@ def _kkt_residual(h, v, cur, s, y, lam):
 
 
 def _newton_matrix(h, v, s, y, lam):
-    """Exact Jacobian of _kkt_residual in its real layout; the constraint is bilinear."""
+    """Exact Jacobian of _kkt_residual in its real layout, as a symmetric CSC matrix.
+
+    The matrix is [[I, P, Js], [P^T, 0, Jy^T], [Js^T, Jy, 0]]. Jy, the
+    derivative of each point's constraint in y, is the realified
+    H diag(H^T(V_t + dV_t)); P, that of the noise stationarity in y, has the
+    same pattern in H^T lam_t on the voltage noise; Js^T, that of the
+    constraint in the noise, is the realified Laplacian H diag(y) H^T beside
+    -I, the same at every point. The constraint is bilinear, so the matrix is
+    exact. Every column of H holds two nonzeros, so the blocks are written in
+    COO form straight from them: O(tau*e) entries, nothing dense beyond
+    e-by-tau. The lower blocks mirror the upper ones, so the matrix equals its
+    transpose bit for bit. The stored pattern depends on H alone: entries that
+    happen to be zero, such as all of P at the warm start's zero multipliers,
+    stay stored, since without them the ordering found for that first step
+    factors slower (about 2x on a 14-node minus-one hypothesis).
+    """
     n, e = h.shape
     tau = v.shape[1]
-    vt = v + s[:n]
-    lap = (h * y) @ h.T
-    # d(constraint)/d(y) of every point
-    jy = np.moveaxis(realified_coefficient(h, vt.real, vt.imag), -1, 0)
-    jy = sp.csr_matrix(jy.reshape(tau * 2 * n, 2 * e))
-    # d(noise stationarity)/d(y): conj(Lap) lam = H diag(H^T lam) conj(y) on the
-    # voltage noise, nothing on the current noise
-    cross = np.zeros((tau, 4 * n, 2 * e))
-    cross[:, :2 * n] = np.moveaxis(realified_coefficient(h, lam.real, lam.imag), -1, 0)
-    cross[:, :2 * n, e:] *= -1
-    p = sp.csr_matrix(cross.reshape(tau * 4 * n, 2 * e))
-    # d(constraint)/d(noise), transposed; the same block for every point
-    js_t = sp.csr_matrix(np.vstack([np.block([[lap.real, lap.imag], [-lap.imag, lap.real]]),
-                                    -np.eye(2 * n)]))
-    jst_all = sp.kron(sp.identity(tau), js_t, format="csr")
-    return sp.bmat([[sp.identity(tau * 4 * n, format="csr"), p, jst_all],
-                    [p.T, None, jy.T],
-                    [jst_all.T, jy, None]], format="csc")
+    ns = tau * 4 * n  # the noise rows; the admittances follow, then the multipliers
+    t = np.arange(tau)
+    at_noise, at_mult = 4 * n * t, ns + 2 * e + 2 * n * t  # each point's first row
+    edge, node = np.nonzero(h.T)  # edge-major: the two ends of every edge
+    sign = h[node, edge][:, np.newaxis]
+    y_re = ns + edge[:, np.newaxis]
+    y_im = y_re + e
+    noise, mult = node[:, np.newaxis] + at_noise, node[:, np.newaxis] + at_mult
+    b = sign * (h.T @ (v + s[:n]))[edge]
+    c = sign * (h.T @ lam)[edge]
+    # the Laplacian's diagonal, then both off-diagonal entries of every edge
+    nodes, ends = np.arange(n), node.reshape(e, 2)
+    off = sign[0::2, 0] * sign[1::2, 0] * y
+    diag = (np.bincount(node, y[edge].real, minlength=n)
+            + 1j * np.bincount(node, y[edge].imag, minlength=n))
+    lap = np.concatenate([diag, off, off])[:, np.newaxis]
+    lap_row = np.concatenate([nodes, ends[:, 0], ends[:, 1]])[:, np.newaxis] + at_noise
+    lap_col = np.concatenate([nodes, ends[:, 1], ends[:, 0]])[:, np.newaxis] + at_mult
+    cur = nodes[:, np.newaxis]
+    upper = [
+        # Jy^T: [[B_re, -B_im], [B_im, B_re]] with B = H diag(H^T(V_t + dV_t))
+        (y_re, mult, b.real), (y_im, mult, -b.imag),
+        (y_re, mult + n, b.imag), (y_im, mult + n, b.real),
+        # P: conj(Lap) lam = H diag(H^T lam) conj(y) on the voltage noise only
+        (noise, y_re, c.real), (noise, y_im, c.imag),
+        (noise + n, y_re, c.imag), (noise + n, y_im, -c.real),
+        # Js: [[L_re, L_im], [-L_im, L_re]] on the voltage noise, -I on the current noise
+        (lap_row, lap_col, lap.real), (lap_row, lap_col + n, lap.imag),
+        (lap_row + n, lap_col, -lap.imag), (lap_row + n, lap_col + n, lap.real),
+        (cur + 2 * n + at_noise, cur + at_mult, -1.0),
+        (cur + 3 * n + at_noise, cur + n + at_mult, -1.0),
+    ]
+    rows, cols, vals = (np.concatenate([a.ravel() for a in parts])
+                        for parts in zip(*(np.broadcast_arrays(*block) for block in upper)))
+    eye = np.arange(ns)  # the identity on the noise
+    dim = ns + 2 * e + tau * 2 * n
+    return sp.csc_matrix((np.concatenate([np.ones(ns), vals, vals]),
+                          (np.concatenate([eye, rows, cols]), np.concatenate([eye, cols, rows]))),
+                         shape=(dim, dim))
 
 
 def _damped_solve(matrix, rhs, mu: float):
     """Newton step from splu on matrix + mu*I, escalating mu until the step is accurate.
 
-    Returns the step and the damping it used; escalated damping is kept for
-    later iterations, since a step system singular at one iterate will almost
+    The matrix is a symmetric saddle point, so SuperLU orders it by minimum
+    degree on its (symmetric) pattern and prefers diagonal pivots. Returns the
+    step and the damping it used; escalated damping is kept for later
+    iterations, since a step system singular at one iterate will almost
     surely be singular at the next.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     while True:
         try:
             shifted = matrix if mu == 0 else matrix + mu * sp.identity(matrix.shape[0], format="csc")
-            step = splu(shifted).solve(rhs)
+            # minimum degree on A + A^T, diagonal pivots preferred: SuperLU's default COLAMD
+            # gives this matrix several times the fill (2.0M against 0.37M entries in L and U
+            # on tree123 at tau 20)
+            step = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                        options={"SymmetricMode": True}).solve(rhs)
             if np.all(np.isfinite(step)):
                 backward = float(np.linalg.norm(shifted @ step - rhs))
                 if backward <= 1e-6 * max(rhs_norm, 1e-300):
@@ -225,7 +262,8 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     best_norm, best_it, best_s, best_y = best
     return StlsSolution(y=best_y, s=best_s, iterations=best_it,
                         kkt_residual=best_norm, converged=best_norm <= tol,
-                        trace=tuple(trace), uniqueness=uniqueness)
+                        trace=tuple(trace), uniqueness=uniqueness,
+                        damping=mu if it else 0.0)
 
 
 def plug_in_ols(sets, prior: PriorTopology) -> np.ndarray:

@@ -151,6 +151,8 @@ def test_phases_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["connected_phases"] == ["b", "c"]
     assert payload["incident_magnitude"]["a"] < payload["alpha"]
+    assert payload["method"] == "stls" and payload["steps"] >= 1
+    assert payload["damping"] == 0.0
 
 
 def test_missing_network_exit_2(tmp_path):
@@ -214,11 +216,13 @@ def test_identify_report_names_solver_outcome(tmp_path, cycle5):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert (report["method"], report["converged"], report["kkt_residual"]) == ("exact", None, None)
+    assert report["steps"] is None and report["damping"] is None
     assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
                  "--relative", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["method"] == "stls" and report["converged"] is True
     assert 0 <= report["kkt_residual"] <= 1e-5
+    assert report["steps"] >= 1 and report["damping"] == 0.0
     assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
                  "--relative", "--method", "plugin", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["method"] == "exact"

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from gridident import (Framework, NetworkGraph, OutOfRegimeError, complete_graph,
-                       incidence_matrix, numerical_rank,
-                       predicted_rank_minus_one_edge, random_connected_graph,
-                       random_tree, remove_edge, rigidity_matrix,
-                       stack_to_rigidity_permutation, trivial_motion_count,
+from gridident import (Framework, NetworkGraph, complete_graph, incidence_matrix,
+                       numerical_rank, random_connected_graph, random_tree,
+                       remove_edge, rigidity_matrix, stack_to_rigidity_permutation,
                        voltage_coefficient)
 
 
@@ -117,13 +115,11 @@ def test_framework_shape_validation():
 
 @pytest.mark.parametrize("tau,count", [(1, 1), (2, 3), (12, 78)])
 def test_trivial_motion_count(tau, count):
-    assert trivial_motion_count(tau) == count
-
-
-def test_predicted_rank_values():
-    assert predicted_rank_minus_one_edge(32, 29) == 493
-    assert predicted_rank_minus_one_edge(32, 31) == 496
-    assert predicted_rank_minus_one_edge(14, 12) == 90 == 14 * 13 // 2 - 1
+    """A generic complete framework on n > tau nodes moves only rigidly: tau(tau+1)/2 ways."""
+    rng = np.random.default_rng(tau)
+    n = tau + 2
+    x = rng.standard_normal((n, tau)) + 1j * rng.standard_normal((n, tau))
+    assert n * tau - numerical_rank(rigidity_matrix(Framework(complete_graph(n), x))) == count
 
 
 def test_predicted_rank_svd_cross_check():
@@ -131,13 +127,6 @@ def test_predicted_rank_svd_cross_check():
     g = remove_edge(complete_graph(14), (2, 9))
     x = rng.standard_normal((14, 12)) + 1j * rng.standard_normal((14, 12))
     assert numerical_rank(rigidity_matrix(Framework(g, x))) == 90
-
-
-def test_predicted_rank_regime_errors():
-    with pytest.raises(OutOfRegimeError):
-        predicted_rank_minus_one_edge(3, 2)
-    with pytest.raises(OutOfRegimeError):
-        predicted_rank_minus_one_edge(5, 6)
 
 
 def test_minus_one_rank_formula_regime():
@@ -149,7 +138,7 @@ def test_minus_one_rank_formula_regime():
             x = rng.standard_normal((n, tau)) + 1j * rng.standard_normal((n, tau))
             rank = numerical_rank(rigidity_matrix(Framework(g, x)))
             if tau <= n - 2:
-                assert rank == predicted_rank_minus_one_edge(n, tau)
+                assert rank == n * tau - tau * (tau + 1) // 2
             else:
                 assert rank == g.e
 

@@ -1,5 +1,6 @@
 import pathlib
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from gridident import (NoiseSpec, PriorTopology, add_noise, complete_graph,
                        constraint_residual, estimate_vector_ls, incidence_matrix,
-                       least_squares, plug_in_ols, random_admittances, realified_coefficient,
-                       solve_stls, stack_coefficients, synthesize,
-                       synthesize_independent, voltage_coefficient)
+                       least_squares, plug_in_ols, random_admittances, solve_stls,
+                       stack_coefficients, synthesize, synthesize_independent,
+                       voltage_coefficient)
 from gridident.stls import _kkt_residual, _newton_matrix, _split_step
 
 
@@ -20,53 +21,76 @@ def _network(n, seed):
     return random_admittances(complete_graph(n), np.random.default_rng(seed))
 
 
+def _jy(h, v, dv):
+    """Each point's 2n-by-2e constraint-by-y block of the Newton matrix at voltage noise dv.
+
+    Rows hold the real then imaginary parts of the point's constraint, columns
+    the real then imaginary admittance parts; the state's y and multipliers
+    do not enter it.
+    """
+    n, e = h.shape
+    tau = v.shape[1]
+    y = np.ones(e, dtype=complex)
+    s = np.vstack([dv, np.zeros_like(dv)])
+    k = _newton_matrix(h, v, s, y, np.ones((n, tau), dtype=complex))
+    ns = tau * 4 * n
+    jy = k[ns + 2 * e:, ns:ns + 2 * e].toarray()
+    return jy.reshape(tau, 2 * n, 2 * e)
+
+
 def test_realify_block_structure():
     net = _network(4, 50)
     ms = synthesize_independent(net, 3, seed=51)
     h = incidence_matrix(net.graph)
     v = ms.voltage_matrix()
-    a = realified_coefficient(h, v.real, v.imag)
+    a = _jy(h, v, 0.01 * v[::-1])
     n, e = 4, 6
-    assert a.shape == (2 * n, 2 * e, 3)
-    top_left = a[:n, :e]
-    assert np.array_equal(top_left, a[n:, e:])
-    assert np.array_equal(a[:n, e:], -a[n:, :e])
-    for k in range(3):  # the trailing axis holds each point's own expansion
-        assert np.array_equal(a[..., k], realified_coefficient(h, v[:, k].real, v[:, k].imag))
+    assert a.shape == (3, 2 * n, 2 * e)
+    top_left = a[:, :n, :e]
+    assert np.array_equal(top_left, a[:, n:, e:])
+    assert np.array_equal(a[:, :n, e:], -a[:, n:, :e])
+    for k in range(3):  # each point's block depends on that point alone
+        assert np.array_equal(a[k], _jy(h, v[:, k:k + 1], 0.01 * v[::-1, k:k + 1])[0])
 
 
 def test_realify_real_input_reduces_to_real_arithmetic():
     net = _network(3, 52)
     h = incidence_matrix(net.graph)
-    v = np.array([1.0, 2.0, -0.5]) + 0j
-    a = realified_coefficient(h, v.real, v.imag)
+    v = np.array([[1.0], [2.0], [-0.5]]) + 0j
+    a = _jy(h, v, np.zeros_like(v))[0]
     assert np.abs(a[:3, 3:]).max() == 0  # no imaginary coupling
-    assert np.array_equal(a[:3, :3], voltage_coefficient(h, v).real)
+    assert np.array_equal(a[:3, :3], voltage_coefficient(h, v[:, 0]).real)
 
 
 def test_realified_product_matches_complex_product():
+    """Every point's block times [Re y; Im y] is its realified H diag(H^T(v + dv)) y."""
     rng = np.random.default_rng(53)
     net = _network(5, 54)
     h = incidence_matrix(net.graph)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     y = rng.standard_normal(net.graph.e) + 1j * rng.standard_normal(net.graph.e)
     y2 = np.concatenate([y.real, y.imag])
-    a = realified_coefficient(h, v.real, v.imag)
-    expected = voltage_coefficient(h, v) @ y
-    assert np.abs(a @ y2 - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
-    vs = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    batched = realified_coefficient(h, vs.real, vs.imag)
-    for k in range(4):
-        expected = voltage_coefficient(h, vs[:, k]) @ y
-        assert np.abs(batched[..., k] @ y2
-                      - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
+    for tau in (1, 4):
+        vs = rng.standard_normal((5, tau)) + 1j * rng.standard_normal((5, tau))
+        dvs = 0.01 * (rng.standard_normal((5, tau)) + 1j * rng.standard_normal((5, tau)))
+        batched = _jy(h, vs, dvs)
+        for k in range(tau):
+            expected = voltage_coefficient(h, vs[:, k] + dvs[:, k]) @ y
+            assert np.abs(batched[k] @ y2
+                          - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
+    # the block is zero wherever H is zero, which on a tree is most entries
+    from gridident import random_tree
+    tree_h = incidence_matrix(random_tree(7, rng))
+    vs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    off_pattern = np.tile(tree_h == 0, (2, 2))
+    assert np.all(_jy(tree_h, vs, np.zeros_like(vs))[:, off_pattern] == 0)
 
 
 def test_realify_zero_voltage():
     net = _network(3, 55)
     h = incidence_matrix(net.graph)
-    assert np.abs(realified_coefficient(h, np.zeros(3), np.zeros(3))).max() == 0
-    assert np.abs(realified_coefficient(h, np.zeros((3, 2)), np.zeros((3, 2)))).max() == 0
+    for tau in (1, 2):
+        v = np.zeros((3, tau), dtype=complex)
+        assert np.abs(_jy(h, v, v)).max() == 0
 
 
 def _no_noise(ms):
@@ -160,6 +184,40 @@ def test_newton_matrix_is_the_residual_jacobian(kind, seed):
         expected = k @ delta
         assert np.abs((r_plus - r_minus) / (2 * eps) - expected).max() <= \
             1e-9 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kind, seed", [("complete", 94), ("tree", 95), ("minus_one", 96)])
+def test_newton_matrix_is_symmetric_on_a_fixed_pattern(kind, seed):
+    """The symmetric ordering of the step solve relies on K == K^T entry for entry.
+
+    The warm start's zero noise and multipliers leave the stored pattern as it is.
+    """
+    h, v, _, (s, y, lam), _ = _kkt_state(kind, seed)
+    k = _newton_matrix(h, v, s, y, lam)
+    assert (k - k.T).count_nonzero() == 0
+    k0 = _newton_matrix(h, v, np.zeros_like(s), y, np.zeros_like(lam))
+    assert np.array_equal(k0.indptr, k.indptr) and np.array_equal(k0.indices, k.indices)
+
+
+def test_newton_matrix_assembly_memory_is_linear_in_the_edges():
+    """tree123 at tau = 20: a dense tau*2n-by-2e intermediate alone would take 9.6 MB."""
+    from gridident import load_network
+    net = load_network(pathlib.Path(__file__).resolve().parents[1] / "networks" / "tree123.json")
+    ms = add_noise(synthesize_independent(net, 20, seed=100), NoiseSpec(0.001), seed=101)
+    h = incidence_matrix(net.graph)
+    n, tau = h.shape[0], ms.tau
+    rng = np.random.default_rng(102)
+    s = 1e-3 * (rng.standard_normal((2 * n, tau)) + 1j * rng.standard_normal((2 * n, tau)))
+    lam = rng.standard_normal((n, tau)) + 1j * rng.standard_normal((n, tau))
+    v = ms.voltage_matrix()
+    tracemalloc.start()
+    try:
+        k = _newton_matrix(h, v, s, net.y, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.shape == (tau * 6 * n + 2 * net.graph.e,) * 2
+    assert peak < 16e6
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -293,6 +351,8 @@ def test_returned_noise_is_the_minimal_noise_for_the_returned_y(network, tau):
     assert np.abs(sol.s[:n] + lap.conj() @ k).max() <= 1e-8 * scale
     projected = 0.5 * float(np.sum((r.conj() * k).real))
     assert abs(sol.objective - projected) <= 1e-10 * projected
+    # only the rank-deficient complete6 at tau 2 needs a shifted step system
+    assert (sol.damping == 0.0) == sol.uniqueness.unique
 
 
 def test_noisy_solve_converges_and_improves():
@@ -361,6 +421,7 @@ def test_rank_deficient_warns():
         sol = solve_stls(ms, prior)
     assert sol.uniqueness.rank < sol.uniqueness.unknowns == prior.graph.e
     assert np.all(np.isfinite(sol.y))
+    assert sol.damping > 0
 
 
 def test_plug_in_single_noiseless_equals_exact():

@@ -12,9 +12,9 @@ from gridident import (AdmittanceNetwork, AlignmentError, MeasurementSet,
                        NetworkFormatError, NetworkGraph, NoiseSpec, add_noise,
                        average_snapshots, complete_graph, currents_from_voltages,
                        incidence_matrix, load_measurements, matrix_from_vector,
-                       perturb_voltages, random_admittances, save_measurements,
-                       stack_coefficients, synthesize, synthesize_independent,
-                       voltage_coefficient)
+                       random_admittances, save_measurements, stack_coefficients,
+                       synthesize, synthesize_independent, voltage_coefficient)
+from gridident.synth import perturb_voltages
 
 
 def _net(n, seed, prob=0.5):

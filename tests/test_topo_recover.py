@@ -243,6 +243,7 @@ def test_solver_outcome_names_the_exact_solve():
         prior, 1e-5, synthesize_independent(net, 4, seed=130)))
     assert (well_posed["rank"], well_posed["unknowns"]) == (10, 10)
     assert 1e-10 <= well_posed["gram_rcond"] <= 1
+    assert well_posed["steps"] is None and well_posed["damping"] is None
     deficient = solver_outcome(estimate_topology(
         prior, 1e-5, synthesize_independent(net, 2, seed=131)))
     assert deficient["rank"] < deficient["unknowns"] == 10
@@ -252,6 +253,23 @@ def test_solver_outcome_names_the_exact_solve():
     assert stls["method"] == "stls"
     assert stls["rank"] == stls["unknowns"] == 10
     assert stls["gram_rcond"] >= 1e-10
+
+
+def test_solver_outcome_reports_newton_steps_and_damping():
+    """Full rank: undamped steps. One noisy point under cycle5's own graph is rank-deficient."""
+    from gridident import estimate_topology
+    from gridident.topo_recover import solver_outcome
+    net = _cycle_network(5, 134)
+    prior = PriorTopology.explicit(net.graph)
+    for tau, unique in ((4, True), (1, False)):
+        noisy = add_noise(synthesize_independent(net, tau, seed=135), NoiseSpec(0.001), seed=136)
+        est = estimate_topology(prior, 0.01, noisy, relative_threshold=True)
+        outcome = solver_outcome(est)
+        assert outcome["method"] == "stls" and outcome["converged"] is True
+        assert (outcome["rank"] == outcome["unknowns"]) == unique
+        assert outcome["steps"] == len(est.solver.trace) - 1 >= 1
+        assert outcome["damping"] == est.solver.damping
+        assert (outcome["damping"] == 0.0) == unique
 
 
 @pytest.mark.parametrize("name", ["tree123.json", "feeder13_expanded.json"])

@@ -29,12 +29,12 @@ import time
 import numpy as np
 
 from .errors import AlignmentError, GridIdentError, NetworkFormatError, SolverFailureError
-from .exact_estimate import PriorTopology, min_measurements, uniqueness_diagnostic
+from .exact_estimate import PriorTopology, min_measurements, structured_least_squares
 from .graph_core import incidence_matrix
 from .netmodel import load_bus_spec, load_network
 from .synth import (MeasurementSet, NoiseSpec, add_noise, average_snapshots,
                     load_measurements, random_voltage_matrix, save_measurements,
-                    synthesize, synthesize_independent, voltage_coefficient)
+                    synthesize, synthesize_independent)
 from .topo_recover import (METHODS, choose_method, estimate_topology, identify_phases,
                            identify_topology, score_topology, solver_outcome,
                            topology_report)
@@ -54,12 +54,14 @@ def parse_prior(text: str, n: int) -> PriorTopology:
     if text == "complete":
         return PriorTopology.complete(n)
     if text.startswith("minus-one:"):
-        i, _, j = text[len("minus-one:"):].partition("-")
         try:
-            edge = (int(i), int(j))
+            i, j = map(int, text[len("minus-one:"):].split("-"))
         except ValueError:
-            raise ValueError(f"prior spec {text!r} is not of the form minus-one:I-J") from None
-        return PriorTopology.minus_one(n, edge)
+            i = j = 0
+        if not 1 <= min(i, j) < max(i, j) <= n:
+            raise ValueError(f"prior spec {text!r} is not of the form minus-one:I-J "
+                             f"with distinct nodes I, J in 1..{n}")
+        return PriorTopology.minus_one(n, (i, j))
     if text.startswith("tree:"):
         return PriorTopology.tree(load_network(text[len("tree:"):]).graph)
     if text.startswith("file:"):
@@ -122,8 +124,9 @@ def cmd_ranktable(args) -> int:
     for tau in taus:
         t0 = time.perf_counter()
         v = random_voltage_matrix(args.n, tau, np.random.default_rng([args.seed, 2, tau]))
-        a = np.vstack([voltage_coefficient(h, v[:, k]) for k in range(tau)])
-        d = uniqueness_diagnostic(a, prior.graph.e)
+        # the estimator's own rank verdict; zero currents leave it unchanged
+        ms = MeasurementSet(np.stack([v.T, np.zeros_like(v.T)], axis=1))
+        d = structured_least_squares(ms, h)[1]
         print(f"{tau:>5} {d.rank:>7} {d.unknowns:>9} {'yes' if d.unique else 'no':>7}")
         _progress(f"ranktable tau={tau}: {time.perf_counter() - t0:.2f}s")
     return 0
@@ -252,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gridident",
-        description="Identify electric-network topology and admittances from phasor snapshots.")
+        description="Identify electric-network topology and admittances from phasor snapshots.",
+        epilog="With more than one BLAS thread, the first eigh or Cholesky factorization of a "
+               "fresh process can take about 1 s; OPENBLAS_NUM_THREADS=1 avoids that stall "
+               "for one-off runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ranktable", help="rank of the coefficient matrix vs measurement count")

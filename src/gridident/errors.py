@@ -5,10 +5,6 @@ class GridIdentError(Exception):
     """Base class for all package-specific failures."""
 
 
-class OutOfRegimeError(GridIdentError):
-    """A closed-form prediction was requested outside the regime where it is claimed."""
-
-
 class NonUniqueError(GridIdentError):
     """The supplied measurements cannot pin down a unique parameter vector.
 
@@ -43,4 +39,4 @@ class AlignmentError(GridIdentError):
 
 
 class HeuristicBoundWarning(UserWarning):
-    """The returned measurement threshold is a heuristic lower bound, not a proven one."""
+    """No longer emitted (min_measurements is proven); warning filters naming it still resolve."""

@@ -1,8 +1,10 @@
 """Noise-free estimators and identifiability diagnostics.
 
 The reduced-system solve for complete hypotheses, the least-squares route for
-arbitrary hypothesis graphs, and the one identifiability rule: each prior's tau
-threshold (require_measurements) and every solve's rank (require_unique).
+arbitrary hypothesis graphs, and the one identifiability rule in two gates:
+before any solve, tau must reach min_measurements, the rank count
+n*tau - tau*(tau+1)/2 >= e (require_measurements); after it, the solve's
+rank must equal e (require_unique).
 
 least_squares, one lstsq giving the minimum-norm solution and its rank, is
 the one exact solve, of the reduced system and of the edge-vector stack alike.
@@ -16,27 +18,18 @@ falls back to the stack when the system is rank-deficient or ill-conditioned.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
 
-from .errors import (HeuristicBoundWarning, InsufficientMeasurementsError, NonUniqueError,
-                     OutOfRegimeError)
+from .errors import InsufficientMeasurementsError, NonUniqueError
 from .graph_core import (Edge, NetworkGraph, complete_graph, is_tree,
                          numerical_rank, remove_edge)
 from .netmodel import reconstruct_full
 from .synth import MeasurementSet, stack_coefficients
 
 PRIOR_KINDS = ("none", "tree", "minus_one_edge", "explicit_graph")
-
-_THRESHOLD_RULES = {
-    "none": "with no prior topology information a unique solution needs tau >= n-1",
-    "tree": "a known tree topology needs tau >= 1",
-    "minus_one_edge": "a known missing edge needs tau >= n-2 (n >= 4)",
-    "explicit_graph": "heuristic lower bound ceil(e/n) for an explicit hypothesis",
-}
 
 # Smallest LAPACK reciprocal condition estimate of the Gram matrix that the
 # Cholesky path accepts. kappa(G) = kappa(A)^2 for the stack A, so this keeps
@@ -110,40 +103,33 @@ class UniquenessDiagnostic:
 
 
 def min_measurements(prior: PriorTopology, n: int) -> int:
-    """Minimum operating points for a unique solution under the given prior.
+    """Smallest tau in 1..n-1 with n*tau - tau*(tau+1)/2 >= e, the prior's edge count.
 
-    No prior needs n-1, a known tree needs 1, a known missing edge needs n-2
-    (only claimed for n >= 4). For an arbitrary explicit hypothesis no closed
-    form is available, so a heuristic lower bound ceil(e/n) is returned with
-    a warning; rely on the runtime rank diagnostic there.
+    One count for every prior, and a proven necessary condition. At tau <= n-1
+    the complete hypothesis's stack has rank at most n*tau - tau*(tau+1)/2,
+    with equality for generic voltages (criterion 01). Every other
+    hypothesis's stack is a subset of its columns, so its e unknowns can be
+    unique only if that count reaches e. The count gives the paper's n-1 with
+    no prior, n-2 with one known missing edge and 1 with a known tree, and for
+    generic voltages it is exact there. On a graph with a subgraph denser than
+    the count allows for its own nodes, a unique solve may need more points;
+    require_unique rejects the rank-deficient solve at the count.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if prior.graph.n != n:
         raise ValueError(f"prior is over {prior.graph.n} nodes, not {n}")
-    if prior.kind == "none":
-        return n - 1
-    if prior.kind == "tree":
-        return 1
-    if prior.kind == "minus_one_edge":
-        if n < 4:
-            raise OutOfRegimeError(
-                f"the missing-edge threshold n-2 is only established for n >= 4, got n={n}")
-        return n - 2
-    bound = max(1, math.ceil(prior.graph.e / n))
-    warnings.warn(
-        f"no proven threshold for an explicit hypothesis graph; "
-        f"returning heuristic lower bound {bound}",
-        HeuristicBoundWarning, stacklevel=2)
-    return bound
+    # reached by tau = n-1 at the latest, where the count is n(n-1)/2 >= e
+    return next(tau for tau in range(1, n) if n * tau - tau * (tau + 1) // 2 >= prior.graph.e)
 
 
 def require_measurements(prior: PriorTopology, n: int, tau: int) -> None:
-    """Raise InsufficientMeasurementsError, naming the prior's rule, below min_measurements."""
+    """Raise InsufficientMeasurementsError, naming the rank count, below min_measurements."""
     needed = min_measurements(prior, n)
     if tau < needed:
-        raise InsufficientMeasurementsError(f"{tau} operating points supplied but {needed} "
-                                            f"required: {_THRESHOLD_RULES[prior.kind]}")
+        raise InsufficientMeasurementsError(
+            f"{tau} operating points supplied but {needed} required: {prior.graph.e} unknown "
+            f"admittances on {n} nodes need n*tau - tau*(tau+1)/2 >= {prior.graph.e}")
 
 
 def build_reduced_measurements(ms: MeasurementSet):

@@ -225,7 +225,8 @@ def voltage_coefficient(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 def stack_coefficients(ms: MeasurementSet, h: np.ndarray):
     """Row-stack of per-point coefficient matrices and the matching current stack."""
     a = voltage_coefficient(h, ms.voltage_matrix())  # n x e x tau
-    return a.transpose(2, 0, 1).reshape(-1, a.shape[1]), ms.points[:, 1].flatten()
+    # explicit row count: an edgeless h leaves nothing to infer -1 from
+    return a.transpose(2, 0, 1).reshape(ms.tau * ms.n, a.shape[1]), ms.points[:, 1].flatten()
 
 
 # -- measurement file encoding -----------------------------------------------

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from gridident import (NetworkGraph, load_measurements, random_admittances,
-                       save_network)
+from gridident import (MeasurementSet, NetworkGraph, complete_graph, incidence_matrix,
+                       load_measurements, random_admittances, random_connected_graph,
+                       random_tree, random_voltage_matrix, remove_edge, save_measurements,
+                       save_network, uniqueness_diagnostic, voltage_coefficient)
 from gridident.cli import main, parse_prior, parse_tau_list
 
 LATERAL3 = pathlib.Path(__file__).resolve().parents[1] / "networks" / "lateral3_busspec.json"
@@ -43,6 +45,34 @@ def test_ranktable_output(capsys):
         (5, 25, "no"), (6, 27, "no"), (7, 28, "yes")]
 
 
+def test_ranktable_prints_the_rank_of_the_stack(tmp_path, capsys):
+    """Every prior kind, n 4-8 and tau 1..n: the estimator's rank is the stack's."""
+    for n in range(4, 9):
+        rng = np.random.default_rng([212, n])
+        graphs = {"tree": random_tree(n, rng), "file": random_connected_graph(n, rng, 0.5),
+                  "empty": NetworkGraph(n, ())}
+        for name, g in graphs.items():
+            save_network(random_admittances(g, rng), tmp_path / f"{name}{n}.json")
+        priors = {"complete": complete_graph(n),
+                  f"minus-one:1-{n}": remove_edge(complete_graph(n), (1, n)),
+                  f"tree:{tmp_path}/tree{n}.json": graphs["tree"],
+                  f"file:{tmp_path}/file{n}.json": graphs["file"],
+                  f"file:{tmp_path}/empty{n}.json": graphs["empty"]}
+        for spec, g in priors.items():
+            capsys.readouterr()
+            assert main(["ranktable", "--n", str(n), "--prior", spec, "--tau", f"1:{n}",
+                         "--seed", "5"]) == 0
+            rows = [line.split() for line in capsys.readouterr().out.strip().splitlines()[1:]]
+            h = incidence_matrix(g)
+            expected = []
+            for tau in range(1, n + 1):
+                v = random_voltage_matrix(n, tau, np.random.default_rng([5, 2, tau]))
+                d = uniqueness_diagnostic(
+                    np.vstack([voltage_coefficient(h, v[:, k]) for k in range(tau)]), g.e)
+                expected.append([str(tau), str(d.rank), str(g.e), "yes" if d.unique else "no"])
+            assert rows == expected, spec
+
+
 def test_synth_identify_pipeline(tmp_path, cycle5):
     ms_path = tmp_path / "ms.csv"
     out_path = tmp_path / "report.json"
@@ -68,19 +98,47 @@ def test_identify_insufficient_measurements_exit_2(tmp_path, cycle5):
                  "--prior", "complete"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::gridident.HeuristicBoundWarning")
 def test_identify_non_unique_noisy_estimate_exit_2(tmp_path, capsys):
-    """A rank-deficient noisy file fails the same gate as its clean original."""
+    """One point under cycle5's own graph fails the tau gate; the same point twice, the rank gate.
+
+    A noisy file fails each gate as its clean original does.
+    """
     clean, noisy, out = tmp_path / "ms.csv", tmp_path / "noisy.csv", tmp_path / "report.json"
+    twice = tmp_path / "twice.csv"
     assert main(["synth", "--network", str(CYCLE5), "--tau", "1", "--out", str(clean)]) == 0
     assert main(["noise", "--in", str(clean), "--out", str(noisy)]) == 0
     for path in (clean, noisy):
-        capsys.readouterr()
-        assert main(["identify", "--measurements", str(path), "--prior", f"file:{CYCLE5}",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: coefficient matrix rank 4 < 5 unknowns (deficiency 1)"]
-        assert not out.exists()
+        one = load_measurements(path)
+        save_measurements(MeasurementSet(np.concatenate([one.points, one.points]),
+                                         noisy=one.noisy, noise_spec=one.noise_spec), twice)
+        for ms_path, line in [
+                (path, "error: 1 operating points supplied but 2 required: 5 unknown "
+                       "admittances on 5 nodes need n*tau - tau*(tau+1)/2 >= 5"),
+                (twice, "error: coefficient matrix rank 4 < 5 unknowns (deficiency 1)")]:
+            capsys.readouterr()
+            assert main(["identify", "--measurements", str(ms_path), "--prior", f"file:{CYCLE5}",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [line]
+            assert not out.exists()
+
+
+def test_identify_stops_at_the_tau_gate_before_any_solve(tmp_path, capsys, monkeypatch):
+    """An explicit complete graph on 10 nodes needs 9 points; 5 never reach a solve."""
+    from gridident import exact_estimate, synth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coefficient stack was built")
+
+    monkeypatch.setattr(exact_estimate, "stack_coefficients", refuse)
+    monkeypatch.setattr(synth, "stack_coefficients", refuse)
+    net_path, ms_path = tmp_path / "k10.json", tmp_path / "ms.csv"
+    save_network(random_admittances(complete_graph(10), np.random.default_rng(210)), net_path)
+    assert main(["synth", "--network", str(net_path), "--tau", "5", "--out", str(ms_path)]) == 0
+    capsys.readouterr()
+    assert main(["identify", "--measurements", str(ms_path), "--prior", f"file:{net_path}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 5 operating points supplied but 9 required: 45 unknown admittances on 10 nodes "
+        "need n*tau - tau*(tau+1)/2 >= 45"]
 
 
 def test_identify_parse_error_exit_3(tmp_path):
@@ -118,6 +176,18 @@ def test_sweep_outputs(tmp_path, cycle5):
     for r in rows:
         assert float(r[2]) < 1e-8 and float(r[3]) < 1e-8  # noiseless, above threshold
         assert float(r[4]) == 1.0
+
+
+def test_sweep_three_nodes_minus_one(tmp_path):
+    """At n = 3 the minus-one hypothesis is a path, which one point identifies."""
+    net, out = tmp_path / "path3.json", tmp_path / "sweep.csv"
+    save_network(random_admittances(NetworkGraph.from_edges(3, [(1, 3), (2, 3)]),
+                                    np.random.default_rng(211)), net)
+    assert main(["sweep", "--network", str(net), "--prior", "minus-one:1-2", "--tau", "1:2",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "# min_measurements=1"
+    assert [float(line.split(",")[4]) for line in lines[3:]] == [1.0, 1.0]
 
 
 def test_sweep_below_threshold_has_large_error(tmp_path, cycle5):
@@ -282,7 +352,8 @@ def test_count_flags_below_one_exit_2_before_output(tmp_path, cycle5, capsys, ar
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("spec", ["minus-one:1", "minus-one:a-b", "minus-one:"])
+@pytest.mark.parametrize("spec", ["minus-one:1", "minus-one:a-b", "minus-one:",
+                                  "minus-one:1-1", "minus-one:1-9"])
 def test_malformed_minus_one_prior(capsys, spec):
     with pytest.raises(ValueError, match=r"minus-one:I-J") as err:
         parse_prior(spec, 5)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridident import (AdmittanceNetwork, HeuristicBoundWarning, NetworkGraph,
-                       NonUniqueError, OutOfRegimeError, PriorTopology,
+from gridident import (AdmittanceNetwork, NetworkGraph, NonUniqueError, PriorTopology,
                        build_reduced_measurements, complete_graph,
                        estimate_reduced, estimate_vector_ls, incidence_matrix,
-                       matrix_from_vector, min_measurements, random_admittances,
-                       random_connected_graph, random_tree, reconstruct_full,
-                       reduce_slack, stack_coefficients, synthesize,
+                       matrix_from_vector, min_measurements, numerical_rank,
+                       random_admittances, random_connected_graph, random_tree,
+                       random_voltage_matrix, reconstruct_full, reduce_slack,
+                       remove_edge, stack_coefficients, synthesize,
                        synthesize_independent, uniqueness_diagnostic, voltage_coefficient)
 
 
@@ -32,21 +32,58 @@ def test_min_measurements_table():
     tree = PriorTopology.tree(random_tree(123, np.random.default_rng(1)))
     assert min_measurements(tree, 123) == 1
     assert min_measurements(PriorTopology.minus_one(14, (1, 2)), 14) == 12
+    # the paper's thresholds n-1, n-2 and 1 are the one rank count's values
+    for n in range(3, 61):
+        assert min_measurements(PriorTopology.complete(n), n) == n - 1
+        assert min_measurements(PriorTopology.minus_one(n, (1, n)), n) == n - 2
+        assert min_measurements(PriorTopology.tree(random_tree(n, np.random.default_rng(n))), n) == 1
 
 
-def test_min_measurements_out_of_regime():
+def test_min_measurements_three_node_minus_one_is_a_path():
     prior = PriorTopology("minus_one_edge",
                           NetworkGraph(3, ((1, 2), (1, 3))))
-    with pytest.raises(OutOfRegimeError):
-        min_measurements(prior, 3)
+    assert min_measurements(prior, 3) == 1
 
 
-def test_min_measurements_explicit_is_heuristic():
-    g = NetworkGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
-    prior = PriorTopology.explicit(g)
-    with pytest.warns(HeuristicBoundWarning):
-        bound = min_measurements(prior, 5)
-    assert bound == 2  # ceil(6 / 5)
+def test_min_measurements_explicit_is_the_rank_count():
+    """An explicit graph gets the same count as the named priors, and no warning."""
+    cycle5 = NetworkGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    forest = NetworkGraph.from_edges(6, [(1, 2), (2, 3), (4, 5)])
+    cases = [
+        (complete_graph(9), 8),
+        (remove_edge(complete_graph(9), (3, 7)), 7),
+        (random_tree(9, np.random.default_rng(2)), 1),
+        (forest, 1),
+        (cycle5, 2),
+        (remove_edge(complete_graph(35), (1, 2)), 33),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [min_measurements(PriorTopology.explicit(g), g.n) for g, _ in cases]
+    assert got == [want for _, want in cases]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(4, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_no_stack_below_min_measurements_has_full_rank(n, density, seed):
+    """min_measurements is where the complete stack's rank first reaches e.
+
+    Below it, the hypothesis's stack, a column subset of the complete one at
+    the same voltages, leaves some unknown free.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, rng, density)
+    needed = min_measurements(PriorTopology.explicit(g), n)
+    h, h_complete = incidence_matrix(g), incidence_matrix(complete_graph(n))
+    for tau in range(1, n):
+        v = random_voltage_matrix(n, tau, rng)
+        rank, rank_complete = (
+            numerical_rank(np.vstack([voltage_coefficient(m, v[:, k]) for k in range(tau)]))
+            for m in (h, h_complete))
+        assert rank <= rank_complete
+        assert (rank_complete < g.e) == (tau < needed)
+        if tau < needed:
+            assert rank < g.e
 
 
 def test_build_reduced_flat_profile_is_zero():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridident import (AdmittanceNetwork, AlignmentError, Branch, Bus, BusSpec,
-                       Coupling, HeuristicBoundWarning, InsufficientMeasurementsError,
+                       Coupling, InsufficientMeasurementsError,
                        MeasurementSet, NetworkGraph, NoiseSpec, NonUniqueError,
                        PriorTopology, add_noise, complete_graph,
                        estimate_topology, identify_phases, identify_topology,
@@ -299,18 +299,23 @@ def test_complete_prior_recovers_paper_scale_networks(monkeypatch, name):
 
 @pytest.mark.parametrize("sigma, method", [(0.0, "exact"), (1e-3, "stls")])
 def test_non_unique_estimate_is_rejected_on_both_paths(sigma, method):
-    """One point cannot fix a cycle's five admittances, clean or noisy, exact or stls.
+    """One point, even twice over, cannot fix a cycle's five admittances, clean or noisy.
 
-    H diag(H^T v) has rank n - 1 = 4 for one operating point, so the 5 unknowns
-    of cycle5 under its own graph are not unique, and the same gate says so.
+    One point fails the tau gate: 5 unknowns on 5 nodes need 2 points. The same
+    point twice passes it, but H diag(H^T v) has rank n - 1 = 4 for that point,
+    so the 5 unknowns of cycle5 under its own graph are not unique, and the
+    same rank gate says so on the exact and the stls path.
     """
     net = load_network(CYCLE5)
-    ms = synthesize(net, 1, seed=0)
+    one = synthesize(net, 1, seed=0)
     if sigma:
-        ms = add_noise(ms, NoiseSpec(sigma), seed=0)
+        one = add_noise(one, NoiseSpec(sigma), seed=0)
     prior = PriorTopology.explicit(net.graph)
+    with pytest.raises(InsufficientMeasurementsError, match="1 operating points supplied but 2"):
+        identify_topology(prior, 5, None, one)
+    ms = MeasurementSet(np.concatenate([one.points, one.points]), noisy=one.noisy)
     assert topo_recover.choose_method("auto", ms, prior) == method
-    with pytest.warns(HeuristicBoundWarning), pytest.raises(NonUniqueError) as info:
+    with pytest.raises(NonUniqueError) as info:
         identify_topology(prior, 5, None, ms)
     assert str(info.value) == "coefficient matrix rank 4 < 5 unknowns (deficiency 1)"
     assert (info.value.diagnostic.rank, info.value.diagnostic.unknowns) == (4, 5)

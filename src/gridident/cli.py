@@ -12,6 +12,9 @@ core, estimate_topology, to record errors below the identifiability threshold.
 
 Data goes to standard output or files: identify and phases write one JSON
 object with sorted keys on one line, sweep a CSV with '#' header lines.
+sweep's runtime_s is each cell's wall time; in a fresh process, the first
+cell that runs STLS also loads scipy, which stls defers to its first Newton
+step, so that cell reads about 0.3 s more than the rest.
 Progress and timing go to standard error. Exit codes: 0 success, 2
 precondition violation, 3 malformed input (a network, bus-spec or measurement
 file that does not parse or is not UTF-8), 4 solver failure.
@@ -92,6 +95,12 @@ def _require_positive(flag: str, *values: int) -> None:
             raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
+def _require_seed(seed: int) -> None:
+    """Reject a negative --seed before any work or output: numpy's seed streams take none."""
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
+
+
 def _require_sigma(sigma: float) -> None:
     """Reject a negative or non-finite --sigma before any work or output."""
     if not 0 <= sigma < math.inf:
@@ -114,6 +123,7 @@ def _make_measurements(net, tau: int, seed, profile: str) -> MeasurementSet:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ranktable(args) -> int:
+    _require_seed(args.seed)
     prior = parse_prior(args.prior, args.n)
     if prior.graph.n != args.n:
         raise AlignmentError(
@@ -134,6 +144,7 @@ def cmd_ranktable(args) -> int:
 
 def cmd_synth(args) -> int:
     _require_positive("--tau", args.tau)
+    _require_seed(args.seed)
     net = load_network(args.network)
     ms = _make_measurements(net, args.tau, args.seed, args.profile)
     save_measurements(ms, args.out)
@@ -142,6 +153,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_noise(args) -> int:
+    _require_seed(args.seed)
     ms = load_measurements(getattr(args, "in"))
     noisy = add_noise(ms, NoiseSpec(args.sigma), args.seed)
     save_measurements(noisy, args.out)
@@ -219,6 +231,7 @@ def cmd_identify(args) -> int:
 def cmd_phases(args) -> int:
     _require_sigma(args.sigma)
     _require_positive("--tau", args.tau)
+    _require_seed(args.seed)
     spec = load_bus_spec(args.spec)
 
     def builder(true_net):

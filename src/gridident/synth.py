@@ -114,14 +114,21 @@ def currents_from_voltages(net: AdmittanceNetwork, v: np.ndarray) -> np.ndarray:
     Cross-checked against the incidence-matrix route; the two must agree to
     1e-12 relative or the network model itself is inconsistent.
     """
-    v = np.asarray(v, dtype=complex)
-    i_matrix = matrix_from_vector(net) @ v
+    return _checked_currents(net, [np.asarray(v, dtype=complex)])[0]
+
+
+def _checked_currents(net: AdmittanceNetwork, voltages: list) -> list:
+    # one nodal matrix and one matvec per profile, then one cross-check of them all;
+    # a matvec per profile keeps each point's currents independent of tau
+    y_mat = matrix_from_vector(net)
+    currents = [y_mat @ v for v in voltages]
+    v, i_matrix = np.column_stack(voltages), np.column_stack(currents)
     h = incidence_matrix(net.graph)
-    i_edges = voltage_coefficient(h, v) @ net.y
+    i_edges = h @ ((h.T @ v) * net.y[:, np.newaxis])
     scale = max(1.0, float(np.linalg.norm(i_matrix)))
     if float(np.linalg.norm(i_matrix - i_edges)) > 1e-12 * scale:
         raise ConsistencyError("nodal-matrix and incidence current paths disagree")
-    return i_matrix
+    return currents
 
 
 def perturb_voltages(v1: np.ndarray, count: int, seed) -> list[np.ndarray]:
@@ -157,7 +164,7 @@ def synthesize(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
         raise ValueError("tau must be >= 1")
     v1 = default_base_voltage(net.graph.n, _stream(seed, _TAG_SYNTH, 0))
     voltages = [v1] + perturb_voltages(v1, tau - 1, seed)
-    return MeasurementSet([(v, currents_from_voltages(net, v)) for v in voltages], seed=seed)
+    return MeasurementSet(list(zip(voltages, _checked_currents(net, voltages))), seed=seed)
 
 
 def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
@@ -172,7 +179,7 @@ def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> Measuremen
         raise ValueError("tau must be >= 1")
     voltages = [random_voltage_matrix(net.graph.n, 1, _stream(seed, _TAG_INDEPENDENT, k)).ravel()
                 for k in range(1, tau + 1)]
-    return MeasurementSet([(v, currents_from_voltages(net, v)) for v in voltages], seed=seed)
+    return MeasurementSet(list(zip(voltages, _checked_currents(net, voltages))), seed=seed)
 
 
 def add_noise(ms: MeasurementSet, spec: NoiseSpec, seed) -> MeasurementSet:

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from gridident.cli import main, parse_prior, parse_tau_list
 
 LATERAL3 = pathlib.Path(__file__).resolve().parents[1] / "networks" / "lateral3_busspec.json"
 CYCLE5 = LATERAL3.with_name("cycle5.json")
+SRC = LATERAL3.parents[1] / "src"
 
 
 @pytest.fixture()
@@ -338,6 +342,10 @@ def test_sweep_row_matches_identify(tmp_path, cycle5, sigma, method):
     (["sweep", "--tau", "4", "--sigma", "nan"], "--sigma"),
     (["phases", "--spec", "unread.json", "--bus", "b1", "--tau", "3", "--sigma", "-0.5"], "--sigma"),
     (["phases", "--spec", "unread.json", "--bus", "b1", "--tau", "3", "--sigma", "inf"], "--sigma"),
+    (["ranktable", "--n", "4", "--tau", "3", "--seed", "-1"], "--seed"),
+    (["synth", "--tau", "3", "--seed", "-1"], "--seed"),
+    (["noise", "--in", "unread.csv", "--seed", "-1"], "--seed"),
+    (["phases", "--spec", "unread.json", "--bus", "b1", "--tau", "3", "--seed", "-1"], "--seed"),
 ])
 def test_count_flags_below_one_exit_2_before_output(tmp_path, cycle5, capsys, argv, flag):
     out = tmp_path / "out.csv"
@@ -442,3 +450,29 @@ def test_phases_threshold_rule_follows_the_data(tmp_path, sigma, flags, relative
     assert payload["connected_phases"] == list(phases)
     if not relative:
         assert payload["alpha"] == 1e-5
+
+
+COLD_PATH = """
+import sys
+from gridident.cli import main
+
+network, work = sys.argv[1:]
+clean, zero, noisy = (f"{work}/{name}.csv" for name in ("clean", "zero", "noisy"))
+assert main(["synth", "--network", network, "--tau", "4", "--out", clean]) == 0
+assert main(["noise", "--in", clean, "--sigma", "0", "--out", zero]) == 0
+assert main(["identify", "--measurements", zero, "--prior", "complete",
+             "--out", f"{work}/zero.json"]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+# the noisy path imports scipy in its first Newton step
+assert main(["noise", "--in", clean, "--out", noisy]) == 0
+assert main(["identify", "--measurements", noisy, "--prior", "complete",
+             "--out", f"{work}/noisy.json"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_noiseless_complete_path_never_imports_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", COLD_PATH, str(CYCLE5), str(tmp_path)],
+                   env=env, check=True, timeout=120)

@@ -12,8 +12,14 @@ Newton matrix and its step are real, in the layout
 matrix is a symmetric saddle point whose blocks are all H diag(w) or
 H diag(y) H^T patterns, so it is assembled in sparse form from H's 2e
 nonzeros in O(tau*e) time and memory, and SuperLU factors it with a
-symmetric minimum-degree ordering. It returns its least-squares warm
-start's rank diagnostic and never warns. The plug-in ordinary least squares
+symmetric minimum-degree ordering. A solve factors it once, at the first
+step, and keeps those factors: each later step solves its own matrix by
+iterative refinement on them, since from one step to the next the matrix
+moves only by the noise's order. Every step passes the same accuracy test,
+a backward error of at most 1e-6 of its right-hand side; a step whose
+refinement stalls before that factors its own matrix and keeps the new
+factors, so the iterates are full Newton steps either way. It returns its
+least-squares warm start's rank diagnostic and never warns. The plug-in ordinary least squares
 estimator averages replicate snapshots before one plain regression;
 topo_recover.choose_method decides when it replaces the structured solve.
 
@@ -37,6 +43,14 @@ from .synth import MeasurementSet, average_snapshots
 _DAMPING_FLOOR = 1e-10
 _DAMPING_CAP = 1e8
 _DEFICIENT_DAMPING = 1e-6
+# Every refinement sweep on kept factors must shrink the step's backward error by
+# this factor, or the step system is refactored. At sigma 1e-3 one sweep shrinks it
+# by 1e-3 to 3e-2, so the first step's factors meet the bound in 2-3 sweeps after
+# the first solve on mesh14 under minus-one:1-8 (tau 12-20) and on tree123 under
+# its tree prior (tau 2-20); at sigma 0.05 on tree123 (tau 10) it takes 7-8 sweeps
+# of 0.1 to 0.35 each. At 0.5 a refinement that succeeds needs at most 20 sweeps, and
+# a sweep costs 1/90 to 1/16 of a factorization on those inputs.
+_REFINE_CONTRACTION = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +63,9 @@ class StlsSolution:
     voltage noise over the current noise. uniqueness is the warm start's rank diagnostic.
     damping is the diagonal shift of the last Newton step (0.0 if none was
     taken or none was needed): positive on rank-deficient input, or where a
-    step system was singular.
+    step system was singular. factorizations counts the SuperLU factorizations
+    of step systems: 1 when every later step refined on the first step's
+    factors, 0 when no step was taken.
     """
 
     y: np.ndarray
@@ -60,6 +76,7 @@ class StlsSolution:
     trace: tuple
     uniqueness: UniquenessDiagnostic
     damping: float
+    factorizations: int
 
     @property
     def objective(self) -> float:
@@ -184,37 +201,58 @@ def _newton_matrix(h, v, s, y, lam):
                          shape=(dim, dim))
 
 
-def _damped_solve(matrix, rhs, mu: float):
-    """Newton step from splu on matrix + mu*I, escalating mu until the step is accurate.
+def _damped_solve(matrix, rhs, mu: float, lu=None):
+    """Newton step on matrix + mu*I with a backward error of at most 1e-6*||rhs||.
 
-    The matrix is a symmetric saddle point, so SuperLU orders it by minimum
-    degree on its (symmetric) pattern and prefers diagonal pivots. Returns the
-    step and the damping it used; escalated damping is kept for later
-    iterations, since a step system singular at one iterate will almost
-    surely be singular at the next.
+    lu, when given, holds the SuperLU factors of an earlier step's shifted
+    matrix. The step is then found by iterative refinement on those factors
+    (Wilkinson; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 12), step += lu.solve(rhs - shifted @ step), for as long as every
+    sweep shrinks the backward error by _REFINE_CONTRACTION. Only if that
+    misses the accuracy test is matrix + mu*I factored itself: SuperLU orders
+    the symmetric saddle point by minimum degree on its (symmetric) pattern and
+    prefers diagonal pivots, and mu escalates until the step meets the same
+    test. Escalated damping is kept for later iterations, since a step system
+    singular at one iterate will almost surely be singular at the next.
+    Returns the step, the damping it used, the factors it used (lu itself
+    unless it refactored) and the number of factorizations it ran.
     """
     import scipy.sparse as sp  # deferred, as in _newton_matrix
     from scipy.sparse.linalg import splu
 
     rhs_norm = float(np.linalg.norm(rhs))
+    bound = 1e-6 * max(rhs_norm, 1e-300)
+    shifted = matrix if mu == 0 else matrix + mu * sp.identity(matrix.shape[0], format="csc")
+    if lu is not None:
+        step, previous = lu.solve(rhs), rhs_norm
+        while True:
+            residual = rhs - shifted @ step
+            backward = float(np.linalg.norm(residual))
+            if backward <= bound:
+                return step, mu, lu, 0
+            if not backward <= _REFINE_CONTRACTION * previous:  # stalled, or not finite
+                break
+            previous = backward
+            step += lu.solve(residual)
+    factored = 0
     while True:
+        factored += 1
         try:
-            shifted = matrix if mu == 0 else matrix + mu * sp.identity(matrix.shape[0], format="csc")
             # minimum degree on A + A^T, diagonal pivots preferred: SuperLU's default COLAMD
             # gives this matrix several times the fill (2.0M against 0.37M entries in L and U
             # on tree123 at tau 20)
-            step = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                        options={"SymmetricMode": True}).solve(rhs)
-            if np.all(np.isfinite(step)):
-                backward = float(np.linalg.norm(shifted @ step - rhs))
-                if backward <= 1e-6 * max(rhs_norm, 1e-300):
-                    return step, mu
+            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                      options={"SymmetricMode": True})
+            step = lu.solve(rhs)
+            if np.all(np.isfinite(step)) and float(np.linalg.norm(shifted @ step - rhs)) <= bound:
+                return step, mu, lu, factored
         except RuntimeError:
             pass
         mu = _DAMPING_FLOOR if mu == 0 else mu * 10.0
         if mu > _DAMPING_CAP:
             raise SolverFailureError(
                 f"step system stayed singular up to damping {_DAMPING_CAP:g}")
+        shifted = matrix + mu * sp.identity(matrix.shape[0], format="csc")
 
 
 def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
@@ -252,9 +290,11 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     r_norm = float(np.abs(resid).max())
     trace = [(0, r_norm, g_norm, 0.0)]
     best = (r_norm, 0, s.copy(), y.copy())
-    it = 0
+    it = factorizations = 0
+    lu = None  # the step system's SuperLU factors, kept for refining later steps
     while r_norm > tol and it < max_iter:
-        step, mu = _damped_solve(_newton_matrix(h, v, s, y, lam), -resid, mu)
+        step, mu, lu, factored = _damped_solve(_newton_matrix(h, v, s, y, lam), -resid, mu, lu)
+        factorizations += factored
         ds, dy, dlam = _split_step(step, n, e_hat, tau)
         s += ds
         y += dy
@@ -270,7 +310,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     return StlsSolution(y=best_y, s=best_s, iterations=best_it,
                         kkt_residual=best_norm, converged=best_norm <= tol,
                         trace=tuple(trace), uniqueness=uniqueness,
-                        damping=mu if it else 0.0)
+                        damping=mu if it else 0.0, factorizations=factorizations)
 
 
 def plug_in_ols(sets, prior: PriorTopology) -> np.ndarray:

@@ -253,13 +253,16 @@ def solver_outcome(est: TopologyEstimate) -> dict:
     structured_least_squares (not the lstsq fallback) made the least-squares
     solve (stls: its warm start): the Gram's Cholesky condition estimate, or
     lambda_min/lambda_max of the whitened voltage Gram under a hypothesis that
-    holds every node pair. Convergence, KKT residual, Newton steps taken and
-    the damping of the last step are stls's, None on the exact path.
+    holds every node pair. Convergence, KKT residual, Newton steps taken,
+    SuperLU factorizations of the step system (one when every later step
+    refined on the first step's factors) and the damping of the last step are
+    stls's, None on the exact path.
     """
     sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,
             "kkt_residual": None if sol is None else float(sol.kkt_residual),
             "steps": None if sol is None else len(sol.trace) - 1,
+            "factorizations": None if sol is None else sol.factorizations,
             "damping": None if sol is None else float(sol.damping),
             "rank": diag.rank, "unknowns": diag.unknowns, "gram_rcond": diag.gram_rcond}
 

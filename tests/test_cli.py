@@ -226,6 +226,7 @@ def test_phases_command(tmp_path):
     assert payload["connected_phases"] == ["b", "c"]
     assert payload["incident_magnitude"]["a"] < payload["alpha"]
     assert payload["method"] == "stls" and payload["steps"] >= 1
+    assert 1 <= payload["factorizations"] <= payload["steps"]
     assert payload["damping"] == 0.0
 
 
@@ -291,12 +292,14 @@ def test_identify_report_names_solver_outcome(tmp_path, cycle5):
     report = json.loads(out.read_text())
     assert (report["method"], report["converged"], report["kkt_residual"]) == ("exact", None, None)
     assert report["steps"] is None and report["damping"] is None
+    assert report["factorizations"] is None
     assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
                  "--relative", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["method"] == "stls" and report["converged"] is True
     assert 0 <= report["kkt_residual"] <= 1e-5
     assert report["steps"] >= 1 and report["damping"] == 0.0
+    assert 1 <= report["factorizations"] <= report["steps"]
     assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
                  "--relative", "--method", "plugin", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["method"] == "exact"

@@ -316,18 +316,28 @@ def test_max_iter_must_be_nonnegative():
         solve_stls(ms, prior, max_iter=-1)
 
 
-def _closed_form_input(network, tau):
+def _noisy_input(network, tau, sigma=0.001, seed=98):
     """Noisy measurements of a network file (mesh14 under its minus-one:1-8 prior, tree123
-    under its tree prior) or of a random complete6 network under the complete prior."""
-    from gridident import load_network
-    if network == "complete6":
-        net, prior = _network(6, 97), PriorTopology.complete(6)
+    under its tree prior, cycle5 under its own graph), of a random complete network
+    ("complete6") under the complete prior, or of a random 123-node tree under its tree prior."""
+    from gridident import load_network, random_tree
+    if network.startswith("complete"):
+        n = int(network.removeprefix("complete"))
+        net, prior = _network(n, 97), PriorTopology.complete(n)
+    elif network == "random-tree":
+        rng = np.random.default_rng([seed, 123])
+        net = random_admittances(random_tree(123, rng), rng)
+        prior = PriorTopology.tree(net.graph)
     else:
         net = load_network(pathlib.Path(__file__).resolve().parents[1] / "networks"
                            / f"{network}.json")
-        prior = (PriorTopology.tree(net.graph) if network == "tree123"
-                 else PriorTopology.minus_one(net.graph.n, (1, 8)))
-    ms = add_noise(synthesize_independent(net, tau, seed=98), NoiseSpec(0.001), seed=99)
+        if network == "tree123":
+            prior = PriorTopology.tree(net.graph)
+        elif network == "cycle5":
+            prior = PriorTopology.explicit(net.graph)
+        else:
+            prior = PriorTopology.minus_one(net.graph.n, (1, 8))
+    ms = add_noise(synthesize_independent(net, tau, seed=seed), NoiseSpec(sigma), seed=seed + 1)
     return ms, prior
 
 
@@ -339,7 +349,7 @@ def test_returned_noise_is_the_minimal_noise_for_the_returned_y(network, tau):
     Here K = (I + Y Y^H)^-1 (Y V - I) with Y = H diag(y) H^T, and the objective
     is half the sum of Re(r^H K) over the points' residuals r = Y V - I.
     """
-    ms, prior = _closed_form_input(network, tau)
+    ms, prior = _noisy_input(network, tau)
     sol = solve_stls(ms, prior, tol=1e-11)
     h = incidence_matrix(prior.graph)
     n = h.shape[0]
@@ -353,6 +363,62 @@ def test_returned_noise_is_the_minimal_noise_for_the_returned_y(network, tau):
     assert abs(sol.objective - projected) <= 1e-10 * projected
     # only the rank-deficient complete6 at tau 2 needs a shifted step system
     assert (sol.damping == 0.0) == sol.uniqueness.unique
+
+
+@pytest.mark.parametrize("network, tau", [("mesh14", 12), ("mesh14", 16), ("mesh14", 20),
+                                          ("tree123", 5), ("tree123", 20)])
+def test_well_conditioned_solve_factors_once(monkeypatch, network, tau):
+    """The second Newton step refines on the first step's factors and never calls splu."""
+    import scipy.sparse.linalg as sla
+    ms, prior = _noisy_input(network, tau)
+    calls, splu = [], sla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    # _damped_solve imports splu from the module each time it runs
+    monkeypatch.setattr(sla, "splu", counting)
+    sol = solve_stls(ms, prior)
+    assert sol.converged
+    assert (sol.factorizations, len(sol.trace) - 1, len(calls)) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("network, tau, sigma, seed, fallback", [
+    *[("mesh14", tau, 0.001, seed, False) for tau in (12, 16, 20) for seed in (98, 1, 2)],
+    *[("tree123", tau, 0.001, 98, False) for tau in (1, 2, 5, 10, 20)],
+    *[("random-tree", 5, 0.001, seed, False) for seed in (1, 2)],
+    *[(f"complete{n}", tau, 0.001, 98, False) for n in (6, 8, 10) for tau in (n - 1, 2)
+      if (n, tau) != (6, 2)],
+    # rank-deficient, so damped from the first step; on complete6 the second step's
+    # refinement stalls and refactors
+    ("complete6", 2, 0.001, 98, True),
+    ("cycle5", 1, 0.001, 98, False),
+    ("tree123", 10, 0.05, 98, False),
+    ("tree123", 2, 0.01, 98, True),  # refinement stalls at a later step, which refactors
+    ("mesh14", 12, 0.05, 98, True),
+])
+def test_refining_on_kept_factors_matches_refactoring_every_step(monkeypatch, network, tau,
+                                                                  sigma, seed, fallback):
+    """The reference is the same solver with its kept factors discarded before every step."""
+    from gridident import stls
+    ms, prior = _noisy_input(network, tau, sigma, seed)
+    damped_solve = stls._damped_solve
+    factorizations = []
+    for tol, rtol in ((1e-5, 1e-8), (1e-11, 1e-10)):
+        sol = solve_stls(ms, prior, tol=tol)
+        with monkeypatch.context() as m:
+            m.setattr(stls, "_damped_solve",
+                      lambda matrix, rhs, mu, lu=None: damped_solve(matrix, rhs, mu))
+            ref = solve_stls(ms, prior, tol=tol)
+        steps = len(ref.trace) - 1
+        assert ref.factorizations == steps >= 1
+        assert (sol.converged, len(sol.trace), sol.damping, sol.uniqueness) == \
+            (ref.converged, len(ref.trace), ref.damping, ref.uniqueness)
+        assert np.abs(sol.y - ref.y).max() <= rtol * np.abs(ref.y).max()
+        assert 1 <= sol.factorizations <= steps
+        factorizations.append(sol.factorizations)
+    assert (max(factorizations) > 1) == fallback, factorizations
 
 
 def test_noisy_solve_converges_and_improves():

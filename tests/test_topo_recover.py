@@ -244,6 +244,7 @@ def test_solver_outcome_names_the_exact_solve():
     assert (well_posed["rank"], well_posed["unknowns"]) == (10, 10)
     assert 1e-10 <= well_posed["gram_rcond"] <= 1
     assert well_posed["steps"] is None and well_posed["damping"] is None
+    assert well_posed["factorizations"] is None
     deficient = solver_outcome(estimate_topology(
         prior, 1e-5, synthesize_independent(net, 2, seed=131)))
     assert deficient["rank"] < deficient["unknowns"] == 10
@@ -256,7 +257,10 @@ def test_solver_outcome_names_the_exact_solve():
 
 
 def test_solver_outcome_reports_newton_steps_and_damping():
-    """Full rank: undamped steps. One noisy point under cycle5's own graph is rank-deficient."""
+    """Full rank: undamped steps. One noisy point under cycle5's own graph is rank-deficient.
+
+    Either way every later step refines on the first step's factors.
+    """
     from gridident import estimate_topology
     from gridident.topo_recover import solver_outcome
     net = _cycle_network(5, 134)
@@ -268,6 +272,7 @@ def test_solver_outcome_reports_newton_steps_and_damping():
         assert outcome["method"] == "stls" and outcome["converged"] is True
         assert (outcome["rank"] == outcome["unknowns"]) == unique
         assert outcome["steps"] == len(est.solver.trace) - 1 >= 1
+        assert outcome["factorizations"] == est.solver.factorizations == 1
         assert outcome["damping"] == est.solver.damping
         assert (outcome["damping"] == 0.0) == unique
 

@@ -3,7 +3,7 @@
 from .errors import (AlignmentError, ConsistencyError, GridIdentError,
                      HeuristicBoundWarning, InsufficientMeasurementsError,
                      NetworkFormatError, NonUniqueError, SolverFailureError)
-from .graph_core import (Framework, NetworkGraph, complete_graph, incidence_matrix,
+from .graph_core import (Framework, Incidence, NetworkGraph, complete_graph, incidence_matrix,
                          is_tree, numerical_rank, random_connected_graph,
                          random_tree, remove_edge, rigidity_matrix,
                          stack_to_rigidity_permutation)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import AlignmentError, GridIdentError, NetworkFormatError, SolverFailureError
 from .exact_estimate import PriorTopology, min_measurements, structured_least_squares
-from .graph_core import incidence_matrix
 from .netmodel import load_bus_spec, load_network
 from .synth import (MeasurementSet, NoiseSpec, add_noise, average_snapshots,
                     load_measurements, random_voltage_matrix, save_measurements,
@@ -129,14 +128,14 @@ def cmd_ranktable(args) -> int:
         raise AlignmentError(
             f"node counts disagree: prior over {prior.graph.n} nodes, --n {args.n}")
     taus = parse_tau_list(args.tau)
-    h = incidence_matrix(prior.graph)
+    inc = prior.graph.incidence
     print(f"{'tau':>5} {'rank':>7} {'unknowns':>9} {'unique':>7}")
     for tau in taus:
         t0 = time.perf_counter()
         v = random_voltage_matrix(args.n, tau, np.random.default_rng([args.seed, 2, tau]))
         # the estimator's own rank verdict; zero currents leave it unchanged
         ms = MeasurementSet(np.stack([v.T, np.zeros_like(v.T)], axis=1))
-        d = structured_least_squares(ms, h)[1]
+        d = structured_least_squares(ms, inc)[1]
         print(f"{tau:>5} {d.rank:>7} {d.unknowns:>9} {'yes' if d.unique else 'no':>7}")
         _progress(f"ranktable tau={tau}: {time.perf_counter() - t0:.2f}s")
     return 0

@@ -11,8 +11,10 @@ the one exact solve, of the reduced system and of the edge-vector stack alike.
 structured_least_squares reaches the same answer without building the stack:
 under a hypothesis that holds every node pair by one (n-1)-by-(n-1)
 eigendecomposition of the whitened reduced voltage Gram, in O(n^2 tau + n^3),
-and under any other hypothesis by Cholesky on the e-by-e normal equations. It
-falls back to the stack when the system is rank-deficient or ill-conditioned.
+and under any other hypothesis by Cholesky on the e-by-e normal equations.
+Both read the hypothesis as its incidence's endpoint arrays. It falls back to
+the stack, the one place the dense incidence matrix is built, when the system
+is rank-deficient or ill-conditioned.
 
 Only the Cholesky path calls scipy, and it imports scipy.linalg on first
 use: importing scipy costs a fresh process about 0.3 s and 30 MB of
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientMeasurementsError, NonUniqueError
-from .graph_core import (Edge, NetworkGraph, complete_graph, is_tree,
+from .graph_core import (Edge, Incidence, NetworkGraph, complete_graph, is_tree,
                          numerical_rank, remove_edge)
 from .netmodel import reconstruct_full
 from .synth import MeasurementSet, stack_coefficients
@@ -199,16 +201,16 @@ def least_squares(a: np.ndarray,
     return y, UniquenessDiagnostic(rank=int(rank), unknowns=a.shape[1])
 
 
-def _stack_adjoint(h: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _stack_adjoint(inc: Incidence, d: np.ndarray, r: np.ndarray) -> np.ndarray:
     # A^H r for the stack of blocks H diag(d_t), with r the n-by-tau residual
-    return (d.conj() * (h.T @ r)).sum(axis=1)
+    return (d.conj() * inc.diff(r)).sum(axis=1)
 
 
-def _gram_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
+def _gram_solve(inc: Incidence, v: np.ndarray, cur: np.ndarray):
     """(y, rcond) from Cholesky on the Gram matrix, or None unless it certifies full rank."""
     from scipy.linalg import cho_solve, lapack  # deferred: the complete path needs numpy only
 
-    d = h.T @ v
+    d = inc.diff(v)
     # numpy factors conj(G) = (D D^H) * (H^T H) as L L^H, so L.T is G's upper
     # Cholesky factor, already in the Fortran order LAPACK reads without a copy.
     # numpy's Cholesky, not scipy's: numpy and scipy may each bundle their own
@@ -216,7 +218,14 @@ def _gram_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
     # factorization 15x slower on two cores. The scipy calls below are
     # triangular solves with one right-hand side, which run on one thread.
     gram_conj = d @ d.conj().T
-    gram_conj *= h.T @ h
+    # H^T H from the endpoints: +1 where two edges share their plus or their minus
+    # node, -1 where one's plus is the other's minus, and 2 on the diagonal
+    hth = np.equal.outer(inc.plus, inc.plus).astype(float)
+    hth += np.equal.outer(inc.minus, inc.minus)
+    hth -= np.equal.outer(inc.plus, inc.minus)
+    hth -= np.equal.outer(inc.minus, inc.plus)
+    gram_conj *= hth
+    del hth
     anorm = np.linalg.norm(gram_conj, 1)
     try:
         upper = np.linalg.cholesky(gram_conj).T
@@ -227,15 +236,16 @@ def _gram_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
     if info != 0 or not rcond >= _GRAM_RCOND_MIN:
         return None
     factor = (upper, False)
-    y = cho_solve(factor, _stack_adjoint(h, d, cur), check_finite=False)
+    y = cho_solve(factor, _stack_adjoint(inc, d, cur), check_finite=False)
     # one corrected semi-normal step, its residual formed block-wise too
-    y += cho_solve(factor, _stack_adjoint(h, d, cur - h @ (d * y[:, None])), check_finite=False)
+    y += cho_solve(factor, _stack_adjoint(inc, d, cur - inc.scatter(d * y[:, None])),
+                   check_finite=False)
     return y, float(rcond)
 
 
-def _complete_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
-    """(y, rcond) when h holds every node pair, or None unless it certifies full rank."""
-    n = h.shape[0]
+def _complete_solve(inc: Incidence, v: np.ndarray, cur: np.ndarray):
+    """(y, rcond) when inc holds every node pair, or None unless it certifies full rank."""
+    n = inc.n
     vbar = v[1:] - v[0]
     # Q = P P^T = I + 11^T for the slack reduction P = [-1, I] has the closed-form
     # inverse square root I - (1 - 1/sqrt(n)) 11^T / (n-1); g = Q^{-1/2} U
@@ -259,19 +269,21 @@ def _complete_solve(h: np.ndarray, v: np.ndarray, cur: np.ndarray):
     z = solve(cur)
     # one refinement step on the residual I - Y V
     z += solve(cur - reconstruct_full(z) @ v)
-    # y_k = -Y[i_k, j_k] with i_k < j_k read off h, whatever each column's signs
-    _, nodes = np.nonzero(h.T)
-    return -reconstruct_full(z)[nodes[0::2], nodes[1::2]], float(lam[0] / lam[-1])
+    # y_k = -Y at edge k's two ends, which Y's symmetry reads the same either way round
+    return -reconstruct_full(z)[inc.plus, inc.minus], float(lam[0] / lam[-1])
 
 
 def structured_least_squares(ms: MeasurementSet,
-                             h: np.ndarray) -> tuple[np.ndarray, UniquenessDiagnostic]:
-    """least_squares(*stack_coefficients(ms, h)) without building the stack when it can.
+                             inc: Incidence) -> tuple[np.ndarray, UniquenessDiagnostic]:
+    """least_squares(*stack_coefficients(ms, inc.matrix())) without building the stack when it can.
+
+    inc is the hypothesis's incidence as endpoint arrays (NetworkGraph.incidence);
+    the fast paths read nothing else of it.
 
     Each operating point contributes the block H diag(d_t), d_t = H^T v_t, so
     the stack's residual is Y V - I with Y = H diag(y) H^T. Two fast paths:
 
-    - When h holds every node pair (e = n(n-1)/2), Y is any Laplacian
+    - When inc holds every node pair (e = n(n-1)/2), Y is any Laplacian
       P^T Z P, with P = [-1, I] and Z symmetric (n-1)-by-(n-1), and the normal
       equations are Q Z C + C^T Z Q = B + B^T with Q = P P^T, C = Vbar Vbar^H,
       Vbar = P V and B = (P I) Vbar^H. Whitening by Q^{-1/2} and one eigh of
@@ -287,14 +299,13 @@ def structured_least_squares(ms: MeasurementSet,
     _GRAM_RCOND_MIN; the diagnostic then reports full rank. Any other system
     (rank-deficient, below the identifiability threshold, or ill-conditioned)
     falls back to least_squares on the stack, whose minimum-norm solution and
-    rank are returned unchanged.
+    rank are returned unchanged; only that fallback builds the dense H.
     """
-    h = np.asarray(h, dtype=float)
-    n, e = h.shape
+    n, e = inc.n, inc.e
     solve = _complete_solve if e == n * (n - 1) // 2 else _gram_solve
     # an edgeless hypothesis goes to lstsq: LAPACK's condition estimate rejects a 0x0 matrix
-    solved = solve(h, ms.voltage_matrix(), ms.current_matrix()) if e else None
+    solved = solve(inc, ms.voltage_matrix(), ms.current_matrix()) if e else None
     if solved is None:
-        return least_squares(*stack_coefficients(ms, h))
+        return least_squares(*stack_coefficients(ms, inc.matrix()))
     y, rcond = solved
     return y, UniquenessDiagnostic(rank=e, unknowns=e, gram_rcond=rcond)

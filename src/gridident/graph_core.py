@@ -1,12 +1,15 @@
 """Graph primitives for admittance networks.
 
-Canonical edge lists, incidence matrices, rigidity matrices for measurement
-frameworks, and the rank arithmetic that decides whether a measurement set can
-identify a network uniquely.
+Canonical edge lists, incidence matrices as endpoint arrays, rigidity matrices
+for measurement frameworks, and the rank arithmetic that decides whether a
+measurement set can identify a network uniquely.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +67,95 @@ class NetworkGraph:
         pair = (i, j) if i < j else (j, i)
         return pair in self.edges
 
+    @functools.cached_property
+    def incidence(self) -> Incidence:
+        """The incidence matrix as endpoint arrays, built on first use and kept.
+
+        Edge (i, j) of the canonical list is +1 at node i and -1 at node j,
+        the orientation incidence_matrix writes.
+        """
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp,
+                           count=2 * self.e).reshape(self.e, 2) - 1
+        return Incidence(self.n, ends[:, 0], ends[:, 1])
+
+
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """A node-by-edge incidence matrix H held as the endpoints of its e columns.
+
+    Column k is +1 at node plus[k] and -1 at node minus[k], both 0-based. Every
+    product the estimators need reads only these 2e nonzeros: diff is H^T x,
+    scatter is H x and laplacian is H diag(y) H^T, so the dense n-by-e matrix
+    (about 4n^3 bytes under a hypothesis holding every node pair) is built only
+    by matrix(), for the dense coefficient stack. Any orientation of the
+    columns gives the same estimates, since H enters them in sign-cancelling
+    pairs.
+    """
+
+    n: int
+    plus: np.ndarray
+    minus: np.ndarray
+
+    def __post_init__(self):
+        plus, minus = (np.array(a, dtype=np.intp) for a in (self.plus, self.minus))
+        if plus.ndim != 1 or plus.shape != minus.shape:
+            raise ValueError("endpoint arrays must be two vectors of one length")
+        if plus.size and (min(plus.min(), minus.min()) < 0
+                          or max(plus.max(), minus.max()) >= self.n
+                          or np.any(plus == minus)):
+            raise ValueError(f"endpoints must be distinct nodes in 0..{self.n - 1}")
+        for name, ends in (("plus", plus), ("minus", minus)):
+            ends.flags.writeable = False
+            object.__setattr__(self, name, ends)
+
+    @property
+    def e(self) -> int:
+        return self.plus.shape[0]
+
+    def diff(self, x: np.ndarray) -> np.ndarray:
+        """H^T x: row k is x[plus[k]] - x[minus[k]], for x with n rows."""
+        x = np.asarray(x)
+        return x[self.plus] - x[self.minus]
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """H x: node i sums +x[k] over edges k with plus[k] = i and -x[k] where minus[k] = i.
+
+        Each node sums its terms in edge order, as a dense product would, so
+        flipping a column's orientation changes no bit of the result.
+        """
+        x = np.asarray(x)
+        real = not np.iscomplexobj(x)
+        cols = math.prod(x.shape[1:])
+        # one bincount over (node, column) bins, complex entries as pairs of floats
+        parts = np.ascontiguousarray(x.reshape(self.e, 1, cols), dtype=float if real else complex)
+        parts = parts.view(float)
+        width = parts.shape[2]
+        ends = np.stack([self.plus, self.minus], axis=1)[:, :, np.newaxis]
+        total = np.bincount((ends * width + np.arange(width)).ravel(),
+                            np.concatenate([parts, -parts], axis=1).ravel(),
+                            minlength=self.n * width)
+        return (total if real else total.view(complex)).reshape((self.n,) + x.shape[1:])
+
+    def laplacian(self, y: np.ndarray) -> np.ndarray:
+        """H diag(y) H^T as a dense n-by-n array: -y_k at (plus[k], minus[k]) and its mirror.
+
+        Each diagonal entry closes its row's sum to zero.
+        """
+        y = np.asarray(y)
+        lap = np.zeros((self.n, self.n), dtype=np.result_type(y, float))
+        lap[self.plus, self.minus] = -y
+        lap[self.minus, self.plus] = -y
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        return lap
+
+    def matrix(self) -> np.ndarray:
+        """The dense n-by-e matrix H."""
+        h = np.zeros((self.n, self.e))
+        cols = np.arange(self.e)
+        h[self.plus, cols] = 1.0
+        h[self.minus, cols] = -1.0
+        return h
+
 
 def complete_graph(n: int) -> NetworkGraph:
     """All n(n-1)/2 node pairs in canonical order."""
@@ -120,17 +212,14 @@ def random_connected_graph(n: int, rng: np.random.Generator,
 
 
 def incidence_matrix(g: NetworkGraph) -> np.ndarray:
-    """Node-by-edge incidence matrix, +1 at the smaller node index of each edge.
+    """Dense node-by-edge incidence matrix, +1 at the smaller node index of each edge.
 
-    Every column has exactly one +1 and one -1, so column sums are zero. Any
-    consistent orientation works downstream because the matrix always appears
-    in sign-cancelling pairs.
+    Every column has exactly one +1 and one -1, so column sums are zero. This
+    is the public, dense form of g.incidence, about 4n^3 bytes under a
+    hypothesis holding every node pair: the estimators read the endpoint arrays
+    instead, and only the dense coefficient stack needs the matrix.
     """
-    h = np.zeros((g.n, g.e))
-    for pos, (i, j) in enumerate(g.edges):
-        h[i - 1, pos] = 1.0
-        h[j - 1, pos] = -1.0
-    return h
+    return g.incidence.matrix()
 
 
 @dataclass(frozen=True, eq=False)

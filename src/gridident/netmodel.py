@@ -53,13 +53,7 @@ def random_admittances(graph: NetworkGraph, rng: np.random.Generator) -> Admitta
 
 def matrix_from_vector(net: AdmittanceNetwork) -> np.ndarray:
     """Nodal admittance matrix: off-diagonal (i, j) = -y_ij, diagonals close row sums to zero."""
-    n = net.graph.n
-    y_mat = np.zeros((n, n), dtype=complex)
-    for pos, (i, j) in enumerate(net.graph.edges):
-        y_mat[i - 1, j - 1] = -net.y[pos]
-        y_mat[j - 1, i - 1] = -net.y[pos]
-    np.fill_diagonal(y_mat, -y_mat.sum(axis=1))
-    return y_mat
+    return net.graph.incidence.laplacian(net.y)
 
 
 def reduce_slack(y_mat: np.ndarray) -> np.ndarray:

@@ -4,21 +4,26 @@ Operating point k obeys H((H^T(V_k + dV_k)) * y) = I_k + dI_k: the voltage
 noise dV enters the coefficient matrix through the same incidence structure
 as the voltages themselves. solve_stls minimizes the squared noise subject
 to that equation at every point by Newton iteration on the KKT residual of
-the Lagrangian. The residual, including the 2n-by-tau complex noise
-solve_stls returns, is formed for all points at once in complex arithmetic
-on n-by-tau arrays, with constraint_residual as the constraint; only the
-Newton matrix and its step are real, in the layout
+the Lagrangian. H is never formed: the hypothesis is read as its incidence's
+endpoint arrays (graph_core.Incidence), which apply H, H^T and the Laplacian
+H diag(y) H^T in O(e) per column. The residual, including the 2n-by-tau
+complex noise solve_stls returns, is formed for all points at once in complex
+arithmetic on n-by-tau arrays, with constraint_residual as the constraint;
+only the Newton matrix and its step are real, in the layout
 [per-point noise, real admittance parts, per-point multipliers]. That
 matrix is a symmetric saddle point whose blocks are all H diag(w) or
-H diag(y) H^T patterns, so it is assembled in sparse form from H's 2e
-nonzeros in O(tau*e) time and memory, and SuperLU factors it with a
+H diag(y) H^T patterns, so its sparse pattern follows from the endpoints and
+tau alone. A solve builds that pattern once, as int32 CSC index arrays with
+O(tau*e) entries, and every step writes only the values into it; the
+pattern is dropped when the solve returns. SuperLU factors the matrix with a
 symmetric minimum-degree ordering. A solve factors it once, at the first
 step, and keeps those factors: each later step solves its own matrix by
 iterative refinement on them, since from one step to the next the matrix
 moves only by the noise's order. Every step passes the same accuracy test,
 a backward error of at most 1e-6 of its right-hand side; a step whose
-refinement stalls before that factors its own matrix and keeps the new
-factors, so the iterates are full Newton steps either way. It returns its
+refinement stalls before that drops the stale factors, factors its own
+matrix and keeps the new factors, so the iterates are full Newton steps
+either way. It returns its
 least-squares warm start's rank diagnostic and never warns. The plug-in ordinary least squares
 estimator averages replicate snapshots before one plain regression;
 topo_recover.choose_method decides when it replaces the structured solve.
@@ -37,7 +42,7 @@ import numpy as np
 from .errors import SolverFailureError
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic, _stack_adjoint,
                              require_unique, structured_least_squares)
-from .graph_core import incidence_matrix
+from .graph_core import Incidence
 from .synth import MeasurementSet, average_snapshots
 
 _DAMPING_FLOOR = 1e-10
@@ -83,19 +88,20 @@ class StlsSolution:
         return 0.5 * float(np.vdot(self.s, self.s).real)
 
 
-def constraint_residual(h: np.ndarray, v: np.ndarray, cur: np.ndarray,
+def constraint_residual(inc: Incidence, v: np.ndarray, cur: np.ndarray,
                         dv: np.ndarray, di: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Equality-constraint value H((H^T(V + dV)) * y) - (I + dI) of every operating point.
 
-    v, cur and the noise guesses dv, di are n-by-tau complex arrays, one
-    column per operating point; column k is
-    voltage_coefficient(h, v_k + dv_k) @ y - (cur_k + di_k).
+    inc is the hypothesis's incidence H as endpoint arrays
+    (NetworkGraph.incidence). v, cur and the noise guesses dv, di are n-by-tau
+    complex arrays, one column per operating point; column k is
+    voltage_coefficient(inc.matrix(), v_k + dv_k) @ y - (cur_k + di_k).
     """
     v = np.asarray(v)
-    if v.ndim != 2 or v.shape[0] != h.shape[0] or not (
+    if v.ndim != 2 or v.shape[0] != inc.n or not (
             v.shape == np.shape(cur) == np.shape(dv) == np.shape(di)):
-        raise ValueError(f"voltages, currents and noise must all be {h.shape[0]}-by-tau arrays")
-    return h @ ((h.T @ (v + dv)) * y[:, np.newaxis]) - (cur + di)
+        raise ValueError(f"voltages, currents and noise must all be {inc.n}-by-tau arrays")
+    return inc.scatter(inc.diff(v + dv) * y[:, np.newaxis]) - (cur + di)
 
 
 def _real_layout(z: np.ndarray, n: int) -> np.ndarray:
@@ -121,7 +127,7 @@ def _split_step(step: np.ndarray, n: int, e: int, tau: int):
             _complex_layout(step[ns + 2 * e:].reshape(tau, 2 * n), n))
 
 
-def _kkt_residual(h, v, cur, s, y, lam):
+def _kkt_residual(inc, v, cur, s, y, lam):
     """Stationarity-plus-feasibility residual of the Lagrangian, and the constraint's max-norm.
 
     s is the 2n-by-tau complex noise (voltage rows over current rows), y the
@@ -130,16 +136,107 @@ def _kkt_residual(h, v, cur, s, y, lam):
     stationarity s + [conj(Lap) lam; -lam] (4n), then the parameter
     stationarity (real, imaginary), then every point's constraint (2n).
     """
-    n = h.shape[0]
-    g = _real_layout(constraint_residual(h, v, cur, s[:n], s[n:], y), n)
-    lap = (h * y) @ h.T  # H diag(y) H^T, complex symmetric
+    n = inc.n
+    g = _real_layout(constraint_residual(inc, v, cur, s[:n], s[n:], y), n)
+    lap = inc.laplacian(y)  # H diag(y) H^T, complex symmetric
     f_s = _real_layout(s + np.vstack([lap.conj() @ lam, -lam]), n)
-    f_y = _stack_adjoint(h, h.T @ (v + s[:n]), lam)
+    f_y = _stack_adjoint(inc, inc.diff(v + s[:n]), lam)
     resid = np.concatenate([f_s.ravel(), f_y.real, f_y.imag, g.ravel()])
     return resid, float(np.abs(g).max())
 
 
-def _newton_matrix(h, v, s, y, lam):
+def _point_pattern(inc):
+    """The stored pattern of _newton_matrix at one operating point, in CSC form.
+
+    Returns indptr, the row indices and take: stored entry k holds entry take[k]
+    of the point's sources, which are 1, -1, then b.real, b.imag, -b.imag,
+    c.real, c.imag and -c.real (2e each), then lap.real, lap.imag and -lap.imag
+    (n + 2e each), as _newton_matrix forms them.
+    """
+    n, e = inc.n, inc.e
+    at_mult = 4 * n + 2 * e  # the noise rows come first, then the admittances
+    dim = at_mult + 2 * n
+    node = np.stack([inc.plus, inc.minus], axis=1).ravel()  # edge-major: both ends
+    edge = np.repeat(np.arange(e), 2)
+    y_re, y_im = 4 * n + edge, 4 * n + e + edge
+    mult = node + at_mult
+    # the Laplacian's diagonal, then both off-diagonal entries of every edge
+    nodes = np.arange(n)
+    lap_row = np.concatenate([nodes, inc.plus, inc.minus])
+    lap_col = np.concatenate([nodes, inc.minus, inc.plus]) + at_mult
+    b_re, b_im, b_neg_im, c_re, c_im, c_neg_re = (2 + k * 2 * e + np.arange(2 * e)
+                                                  for k in range(6))
+    l_re, l_im, l_neg_im = (2 + 12 * e + k * (n + 2 * e) + np.arange(n + 2 * e)
+                            for k in range(3))
+    upper = [
+        # Jy^T: [[B_re, -B_im], [B_im, B_re]] with B = H diag(H^T(V_t + dV_t))
+        (y_re, mult, b_re), (y_im, mult, b_neg_im), (y_re, mult + n, b_im), (y_im, mult + n, b_re),
+        # P: conj(Lap) lam = H diag(H^T lam) conj(y) on the voltage noise only
+        (node, y_re, c_re), (node, y_im, c_im), (node + n, y_re, c_im), (node + n, y_im, c_neg_re),
+        # Js: [[L_re, L_im], [-L_im, L_re]] on the voltage noise, -I on the current noise
+        (lap_row, lap_col, l_re), (lap_row, lap_col + n, l_im),
+        (lap_row + n, lap_col, l_neg_im), (lap_row + n, lap_col + n, l_re),
+        (nodes + 2 * n, nodes + at_mult, 1), (nodes + 3 * n, nodes + n + at_mult, 1),
+    ]
+    rows, cols, src = (np.concatenate(parts)
+                       for parts in zip(*(np.broadcast_arrays(*block) for block in upper)))
+    eye = np.arange(4 * n)  # the identity on the noise, source 0
+    # the lower blocks mirror the upper ones; CSC order is column-major, rows ascending
+    rows, cols = np.concatenate([eye, rows, cols]), np.concatenate([eye, cols, rows])
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=dim))])
+    return indptr, rows[order], np.concatenate([np.zeros(4 * n, dtype=int), src, src])[order]
+
+
+def _newton_pattern(inc, tau):
+    """The stored pattern of _newton_matrix at tau points: int32 CSC indptr and row indices.
+
+    Also returns where each stored value comes from, as three index arrays
+    into the tau-by-S matrix of every point's sources (_point_pattern). They
+    come from the one-point pattern: each noise and multiplier column of a
+    point repeats that pattern with the point's rows, and each admittance
+    column holds the four noise rows of every point, then the four
+    multiplier rows of every point. The pattern depends on the endpoints and
+    tau alone, so solve_stls builds it once per solve. Apart from the indices
+    a matrix holds anyway, it keeps only O(n + e) integers.
+    """
+    n, e = inc.n, inc.e
+    indptr1, rows1, take1 = _point_pattern(inc)
+    ns = 4 * n * tau  # the noise rows; the admittances follow, then the multipliers
+    t = np.arange(tau)[:, np.newaxis]
+
+    def rows_at(r):
+        # one-point rows r at every point: noise rows move by 4n, multiplier rows by 2n per point
+        return r + np.where(r < 4 * n, 4 * n * t,
+                            ns - 4 * n + np.where(r < 4 * n + 2 * e, 0, 2 * n * t))
+
+    cuts = indptr1[[4 * n, 4 * n + 2 * e]]
+    noise_rows, y_rows, mult_rows = np.split(rows1, cuts)
+    noise_take, y_take, mult_take = np.split(take1, cuts)
+    # every admittance column holds 4 noise rows, then 4 multiplier rows, at each point
+    y_rows, y_take = y_rows.reshape(2 * e, 2, 1, 4), y_take.reshape(2 * e, 2, 4)
+    counts = np.diff(indptr1)
+    counts = np.concatenate([np.tile(counts[:4 * n], tau), np.full(2 * e, 8 * tau),
+                             np.tile(counts[4 * n + 2 * e:], tau)])
+    indptr = np.zeros(counts.shape[0] + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    takes = (noise_take, y_take, mult_take)
+    for block, rows in zip(_by_block(indices, tau, takes), (noise_rows, y_rows, mult_rows)):
+        block[...] = rows_at(rows)
+    return indptr, indices, takes
+
+
+def _by_block(a, tau, takes):
+    # views of a stored-entry array: the noise columns (tau-by-), the admittance
+    # columns (2e-by-2-by-tau-by-4) and the multiplier columns (tau-by-)
+    noise_take, y_take, mult_take = takes
+    start, stop = tau * noise_take.size, tau * (noise_take.size + y_take.size)
+    return (a[:start].reshape(tau, -1), a[start:stop].reshape(y_take.shape[0], 2, tau, 4),
+            a[stop:].reshape(tau, -1))
+
+
+def _newton_matrix(inc, v, s, y, lam, pattern=None):
     """Exact Jacobian of _kkt_residual in its real layout, as a symmetric CSC matrix.
 
     The matrix is [[I, P, Js], [P^T, 0, Jy^T], [Js^T, Jy, 0]]. Jy, the
@@ -148,74 +245,62 @@ def _newton_matrix(h, v, s, y, lam):
     same pattern in H^T lam_t on the voltage noise; Js^T, that of the
     constraint in the noise, is the realified Laplacian H diag(y) H^T beside
     -I, the same at every point. The constraint is bilinear, so the matrix is
-    exact. Every column of H holds two nonzeros, so the blocks are written in
-    COO form straight from them: O(tau*e) entries, nothing dense beyond
-    e-by-tau. The lower blocks mirror the upper ones, so the matrix equals its
-    transpose bit for bit. The stored pattern depends on H alone: entries that
-    happen to be zero, such as all of P at the warm start's zero multipliers,
-    stay stored, since without them the ordering found for that first step
-    factors slower (about 2x on a 14-node minus-one hypothesis).
+    exact. Every column of H holds two nonzeros, the endpoints in inc, so the
+    stored pattern has O(tau*e) entries and nothing dense beyond e-by-tau is
+    formed. The lower blocks mirror the upper ones, so the matrix equals its
+    transpose bit for bit.
+
+    The pattern depends on the endpoints and tau alone: entries that happen to
+    be zero, such as all of P at the warm start's zero multipliers, stay
+    stored, since without them the ordering found for that first step factors
+    slower (about 2x on a 14-node minus-one hypothesis). pattern is
+    _newton_pattern(inc, tau), which solve_stls builds once per solve in int32
+    so that every step shares its index arrays and writes only its values;
+    None builds a fresh one.
     """
     import scipy.sparse as sp  # deferred: numpy-only paths never pay scipy's import
 
-    n, e = h.shape
-    tau = v.shape[1]
-    ns = tau * 4 * n  # the noise rows; the admittances follow, then the multipliers
-    t = np.arange(tau)
-    at_noise, at_mult = 4 * n * t, ns + 2 * e + 2 * n * t  # each point's first row
-    edge, node = np.nonzero(h.T)  # edge-major: the two ends of every edge
-    sign = h[node, edge][:, np.newaxis]
-    y_re = ns + edge[:, np.newaxis]
-    y_im = y_re + e
-    noise, mult = node[:, np.newaxis] + at_noise, node[:, np.newaxis] + at_mult
-    b = sign * (h.T @ (v + s[:n]))[edge]
-    c = sign * (h.T @ lam)[edge]
-    # the Laplacian's diagonal, then both off-diagonal entries of every edge
-    nodes, ends = np.arange(n), node.reshape(e, 2)
-    off = sign[0::2, 0] * sign[1::2, 0] * y
-    diag = (np.bincount(node, y[edge].real, minlength=n)
-            + 1j * np.bincount(node, y[edge].imag, minlength=n))
-    lap = np.concatenate([diag, off, off])[:, np.newaxis]
-    lap_row = np.concatenate([nodes, ends[:, 0], ends[:, 1]])[:, np.newaxis] + at_noise
-    lap_col = np.concatenate([nodes, ends[:, 1], ends[:, 0]])[:, np.newaxis] + at_mult
-    cur = nodes[:, np.newaxis]
-    upper = [
-        # Jy^T: [[B_re, -B_im], [B_im, B_re]] with B = H diag(H^T(V_t + dV_t))
-        (y_re, mult, b.real), (y_im, mult, -b.imag),
-        (y_re, mult + n, b.imag), (y_im, mult + n, b.real),
-        # P: conj(Lap) lam = H diag(H^T lam) conj(y) on the voltage noise only
-        (noise, y_re, c.real), (noise, y_im, c.imag),
-        (noise + n, y_re, c.imag), (noise + n, y_im, -c.real),
-        # Js: [[L_re, L_im], [-L_im, L_re]] on the voltage noise, -I on the current noise
-        (lap_row, lap_col, lap.real), (lap_row, lap_col + n, lap.imag),
-        (lap_row + n, lap_col, -lap.imag), (lap_row + n, lap_col + n, lap.real),
-        (cur + 2 * n + at_noise, cur + at_mult, -1.0),
-        (cur + 3 * n + at_noise, cur + n + at_mult, -1.0),
-    ]
-    rows, cols, vals = (np.concatenate([a.ravel() for a in parts])
-                        for parts in zip(*(np.broadcast_arrays(*block) for block in upper)))
-    eye = np.arange(ns)  # the identity on the noise
-    dim = ns + 2 * e + tau * 2 * n
-    return sp.csc_matrix((np.concatenate([np.ones(ns), vals, vals]),
-                          (np.concatenate([eye, rows, cols]), np.concatenate([eye, cols, rows]))),
-                         shape=(dim, dim))
+    n, tau = inc.n, v.shape[1]
+    indptr, indices, takes = _newton_pattern(inc, tau) if pattern is None else pattern
+    d, g = inc.diff(v + s[:n]), inc.diff(lam)
+    # at each edge's two ends, + then -: sign * H^T(V + dV) and sign * H^T lam
+    b = np.stack([d, -d], axis=1).reshape(-1, tau)
+    c = np.stack([g, -g], axis=1).reshape(-1, tau)
+    # the Laplacian's diagonal sums y over the edges at each node
+    ends, twice = np.stack([inc.plus, inc.minus], axis=1).ravel(), np.repeat(y, 2)
+    diag = (np.bincount(ends, twice.real, minlength=n)
+            + 1j * np.bincount(ends, twice.imag, minlength=n))
+    lap = np.concatenate([diag, -y, -y])[:, np.newaxis].repeat(tau, axis=1)
+    # every point's sources, one row per point, in _point_pattern's order
+    src = np.concatenate([np.ones((1, tau)), -np.ones((1, tau)), b.real, b.imag, -b.imag,
+                          c.real, c.imag, -c.real, lap.real, lap.imag, -lap.imag]).T
+    data = np.empty(indices.shape[0])
+    noise, admittance, mult = _by_block(data, tau, takes)
+    noise_take, y_take, mult_take = takes
+    noise[...] = src[:, noise_take]
+    admittance[...] = src[:, y_take].transpose(1, 2, 0, 3)
+    mult[...] = src[:, mult_take]
+    dim = indptr.shape[0] - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
-def _damped_solve(matrix, rhs, mu: float, lu=None):
+def _damped_solve(matrix, rhs, mu: float, kept=None):
     """Newton step on matrix + mu*I with a backward error of at most 1e-6*||rhs||.
 
-    lu, when given, holds the SuperLU factors of an earlier step's shifted
-    matrix. The step is then found by iterative refinement on those factors
-    (Wilkinson; Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 12), step += lu.solve(rhs - shifted @ step), for as long as every
-    sweep shrinks the backward error by _REFINE_CONTRACTION. Only if that
-    misses the accuracy test is matrix + mu*I factored itself: SuperLU orders
-    the symmetric saddle point by minimum degree on its (symmetric) pattern and
-    prefers diagonal pivots, and mu escalates until the step meets the same
-    test. Escalated damping is kept for later iterations, since a step system
+    kept is the solve's list of kept factors: empty, or the SuperLU factors lu
+    of an earlier step's shifted matrix. With factors, the step is found by
+    iterative refinement on them (Wilkinson; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12), step += lu.solve(rhs - shifted @ step), for
+    as long as every sweep shrinks the backward error by _REFINE_CONTRACTION.
+    Only if that misses the accuracy test is matrix + mu*I factored itself,
+    after the stale factors leave kept, so that two sets of factors are never
+    alive at once: SuperLU orders the symmetric saddle point by minimum degree
+    on its (symmetric) pattern and prefers diagonal pivots, and mu escalates
+    until the step meets the same test. The new factors then go into kept.
+    Escalated damping is kept for later iterations, since a step system
     singular at one iterate will almost surely be singular at the next.
-    Returns the step, the damping it used, the factors it used (lu itself
-    unless it refactored) and the number of factorizations it ran.
+    Returns the step, the damping it used and the number of factorizations it
+    ran; kept=None factors afresh and keeps nothing.
     """
     import scipy.sparse as sp  # deferred, as in _newton_matrix
     from scipy.sparse.linalg import splu
@@ -223,20 +308,25 @@ def _damped_solve(matrix, rhs, mu: float, lu=None):
     rhs_norm = float(np.linalg.norm(rhs))
     bound = 1e-6 * max(rhs_norm, 1e-300)
     shifted = matrix if mu == 0 else matrix + mu * sp.identity(matrix.shape[0], format="csc")
-    if lu is not None:
+    kept = [] if kept is None else kept
+    if kept:
+        lu = kept[0]
         step, previous = lu.solve(rhs), rhs_norm
         while True:
             residual = rhs - shifted @ step
             backward = float(np.linalg.norm(residual))
             if backward <= bound:
-                return step, mu, lu, 0
+                return step, mu, 0
             if not backward <= _REFINE_CONTRACTION * previous:  # stalled, or not finite
                 break
             previous = backward
             step += lu.solve(residual)
+        del lu
+        kept.clear()  # the stale factors go before any new ones are made
     factored = 0
     while True:
         factored += 1
+        lu = None  # and so do those of a failed attempt
         try:
             # minimum degree on A + A^T, diagonal pivots preferred: SuperLU's default COLAMD
             # gives this matrix several times the fill (2.0M against 0.37M entries in L and U
@@ -245,7 +335,8 @@ def _damped_solve(matrix, rhs, mu: float, lu=None):
                       options={"SymmetricMode": True})
             step = lu.solve(rhs)
             if np.all(np.isfinite(step)) and float(np.linalg.norm(shifted @ step - rhs)) <= bound:
-                return step, mu, lu, factored
+                kept.append(lu)
+                return step, mu, factored
         except RuntimeError:
             pass
         mu = _DAMPING_FLOOR if mu == 0 else mu * 10.0
@@ -275,32 +366,36 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    h = incidence_matrix(prior.graph)
-    n, e_hat = h.shape
+    inc = prior.graph.incidence
+    n, e_hat = inc.n, inc.e
     tau = ms.tau
     v, cur = ms.voltage_matrix(), ms.current_matrix()
 
-    y, uniqueness = structured_least_squares(ms, h)
+    y, uniqueness = structured_least_squares(ms, inc)
     # damp a rank-deficient KKT system, singular along the unidentifiable directions
     mu = 0.0 if uniqueness.unique else _DEFICIENT_DAMPING
 
     s = np.zeros((2 * n, tau), dtype=complex)
     lam = np.zeros((n, tau), dtype=complex)
-    resid, g_norm = _kkt_residual(h, v, cur, s, y, lam)
+    resid, g_norm = _kkt_residual(inc, v, cur, s, y, lam)
     r_norm = float(np.abs(resid).max())
     trace = [(0, r_norm, g_norm, 0.0)]
     best = (r_norm, 0, s.copy(), y.copy())
     it = factorizations = 0
-    lu = None  # the step system's SuperLU factors, kept for refining later steps
+    pattern = None  # the Newton matrix's index arrays, built at the first step
+    kept = []  # the step system's SuperLU factors, kept for refining later steps
     while r_norm > tol and it < max_iter:
-        step, mu, lu, factored = _damped_solve(_newton_matrix(h, v, s, y, lam), -resid, mu, lu)
+        if pattern is None:
+            pattern = _newton_pattern(inc, tau)
+        step, mu, factored = _damped_solve(_newton_matrix(inc, v, s, y, lam, pattern),
+                                           -resid, mu, kept)
         factorizations += factored
         ds, dy, dlam = _split_step(step, n, e_hat, tau)
         s += ds
         y += dy
         lam += dlam
         it += 1
-        resid, g_norm = _kkt_residual(h, v, cur, s, y, lam)
+        resid, g_norm = _kkt_residual(inc, v, cur, s, y, lam)
         r_norm = float(np.abs(resid).max())
         trace.append((it, r_norm, g_norm, float(np.abs(step).max())))
         if r_norm < best[0]:
@@ -321,6 +416,6 @@ def plug_in_ols(sets, prior: PriorTopology) -> np.ndarray:
     this estimator over the structured solve when the unknown count makes
     that solve impractical; on one measurement set it is the exact estimator.
     """
-    y, diag = structured_least_squares(average_snapshots(sets), incidence_matrix(prior.graph))
+    y, diag = structured_least_squares(average_snapshots(sets), prior.graph.incidence)
     require_unique(diag)
     return y

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConsistencyError, NetworkFormatError
-from .graph_core import NetworkGraph, incidence_matrix
 from .netmodel import (FILE_VERSION, AdmittanceNetwork, check_version, matrix_from_vector,
                        read_text)
 
@@ -123,8 +122,8 @@ def _checked_currents(net: AdmittanceNetwork, voltages: list) -> list:
     y_mat = matrix_from_vector(net)
     currents = [y_mat @ v for v in voltages]
     v, i_matrix = np.column_stack(voltages), np.column_stack(currents)
-    h = incidence_matrix(net.graph)
-    i_edges = h @ ((h.T @ v) * net.y[:, np.newaxis])
+    inc = net.graph.incidence
+    i_edges = inc.scatter(inc.diff(v) * net.y[:, np.newaxis])
     scale = max(1.0, float(np.linalg.norm(i_matrix)))
     if float(np.linalg.norm(i_matrix - i_edges)) > 1e-12 * scale:
         raise ConsistencyError("nodal-matrix and incidence current paths disagree")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AlignmentError
 from .exact_estimate import (PriorTopology, UniquenessDiagnostic, require_measurements,
                              require_unique, structured_least_squares)
-from .graph_core import Edge, NetworkGraph, incidence_matrix
+from .graph_core import Edge, NetworkGraph
 from .netmodel import AdmittanceNetwork, Bus, BusSpec, phase_expand, phase_node_map, PHASES
 from .stls import StlsSolution, solve_stls
 from .synth import MeasurementSet
@@ -47,7 +47,8 @@ class TopologyEstimate:
 
     y_hat is aligned with the hypothesis graph's canonical edge order;
     edges_hat are exactly the edges whose entry survived thresholding.
-    method is "exact" or "stls" (with its solution); uniqueness is its rank diagnostic.
+    method is the solver that ran, "exact", "plugin" or "stls" (with its
+    solution); uniqueness is its rank diagnostic.
     """
 
     y_hat: np.ndarray
@@ -107,8 +108,8 @@ def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementS
     is relative (alpha times the median estimated magnitude) iff ms.noisy,
     and alpha defaults to DEFAULT_RELATIVE_ALPHA or DEFAULT_ALPHA to match.
     Below the identifiability threshold the exact path returns the
-    minimum-norm answer. plugin solves the given set exactly; averaging
-    replicates is the caller's job.
+    minimum-norm answer. plugin solves the given set as exact does, and is
+    reported as plugin; averaging replicates is the caller's job.
     """
     if beta.graph.n != ms.n:
         raise AlignmentError(
@@ -123,14 +124,15 @@ def estimate_topology(beta: PriorTopology, alpha: float | None, ms: MeasurementS
         solver = solve_stls(ms, beta)
         y, uniqueness = solver.y, solver.uniqueness
     else:
-        y, uniqueness = structured_least_squares(ms, incidence_matrix(beta.graph))
+        y, uniqueness = structured_least_squares(ms, beta.graph.incidence)
     eff_alpha = _effective_alpha(y, alpha, relative)
     y_hat = threshold(y, eff_alpha)
-    edges_hat = tuple(edge for edge, val in zip(beta.graph.edges, y_hat) if val != 0)
+    edges = beta.graph.edges
+    edges_hat = tuple(edges[k] for k in np.flatnonzero(y_hat).tolist())
     return TopologyEstimate(
         y_hat=y_hat, hypothesis=beta.graph, edges_hat=edges_hat, alpha=eff_alpha, tau=ms.tau,
-        prior_kind=beta.kind, method="stls" if method == "stls" else "exact", solver=solver,
-        uniqueness=uniqueness, relative=relative)
+        prior_kind=beta.kind, method=method, solver=solver, uniqueness=uniqueness,
+        relative=relative)
 
 
 def identify_topology(beta: PriorTopology, n: int, alpha: float | None, ms: MeasurementSet,
@@ -150,6 +152,12 @@ def identify_topology(beta: PriorTopology, n: int, alpha: float | None, ms: Meas
     return est
 
 
+def _edge_keys(graph: NetworkGraph) -> np.ndarray:
+    # (i-1)*n + (j-1) per canonical edge (i, j): ascending, since the edge list is sorted
+    inc = graph.incidence
+    return inc.plus * graph.n + inc.minus
+
+
 def score_topology(est: TopologyEstimate, truth: AdmittanceNetwork) -> TopologyScore:
     """Set comparison of recovered vs true edges, plus total absolute admittance error.
 
@@ -159,27 +167,29 @@ def score_topology(est: TopologyEstimate, truth: AdmittanceNetwork) -> TopologyS
     if est.hypothesis.n != truth.graph.n:
         raise AlignmentError(
             f"estimate is over {est.hypothesis.n} nodes, truth over {truth.graph.n}")
-    est_map = dict(zip(est.hypothesis.edges, est.y_hat))
-    true_map = dict(zip(truth.graph.edges, truth.y))
-    predicted = set(est.edges_hat)
-    actual = set(truth.graph.edges)
-    tp = len(predicted & actual)
-    fp = len(predicted - actual)
-    fn = len(actual - predicted)
+    hyp_keys, true_keys = _edge_keys(est.hypothesis), _edge_keys(truth.graph)
+    # hypothesis positions of the true edges it holds, and where those sit in the truth
+    _, in_hyp, in_truth = np.intersect1d(hyp_keys, true_keys, assume_unique=True,
+                                         return_indices=True)
+    kept = est.y_hat != 0
+    tp = int(np.count_nonzero(kept[in_hyp]))
+    fp = int(np.count_nonzero(kept)) - tp
+    fn = truth.graph.e - tp
     precision = tp / (tp + fp) if tp + fp else (1.0 if fn == 0 else 0.0)
     recall = tp / (tp + fn) if tp + fn else 1.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    total = cond = susc = 0.0
-    for edge in set(est_map) | actual:
-        diff = est_map.get(edge, 0j) - true_map.get(edge, 0j)
-        total += abs(diff)
-        cond += abs(diff.real)
-        susc += abs(diff.imag)
+    # every hypothesis edge less its true value, then the true edges outside the hypothesis
+    diff = est.y_hat.astype(complex)
+    diff[in_hyp] -= truth.y[in_truth]
+    missed = np.ones(truth.graph.e, dtype=bool)
+    missed[in_truth] = False
+    diff = np.concatenate([diff, -truth.y[missed]])
     return TopologyScore(
         true_positives=tp, false_positives=fp, false_negatives=fn,
         precision=precision, recall=recall, f1=f1,
-        admittance_total_abs_error=total, conductance_abs_error=cond,
-        susceptance_abs_error=susc)
+        admittance_total_abs_error=float(np.abs(diff).sum()),
+        conductance_abs_error=float(np.abs(diff.real).sum()),
+        susceptance_abs_error=float(np.abs(diff.imag).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,30 +243,30 @@ def identify_phases(spec: BusSpec, candidate_bus: str, ms_builder, alpha: float 
     ms = ms_builder(true_net)
     est = identify_topology(prior, n, alpha, ms, relative_threshold=relative_threshold)
 
-    est_map = dict(zip(est.hypothesis.edges, est.y_hat))
+    inc = est.hypothesis.incidence
     incident_magnitude = {}
     connected = set()
     for p in PHASES:
-        node = node_map[(candidate_bus, p)]
-        incident = [abs(val) for (i, j), val in est_map.items() if node in (i, j)]
-        incident_magnitude[p] = max(incident, default=0.0)
-        if any(val > 0 for val in incident):
+        node = node_map[(candidate_bus, p)] - 1
+        incident = np.abs(est.y_hat[(inc.plus == node) | (inc.minus == node)])
+        incident_magnitude[p] = float(incident.max(initial=0.0))
+        if np.any(incident > 0):
             connected.add(p)
     return PhaseIdentification(bus=candidate_bus, connected=frozenset(connected),
                                incident_magnitude=incident_magnitude, estimate=est)
 
 
 def solver_outcome(est: TopologyEstimate) -> dict:
-    """The estimator that ran and how its solve went.
+    """The estimator that ran, "exact", "plugin" or "stls", and how its solve went.
 
-    Both paths report rank and unknowns, plus gram_rcond when a fast path of
+    Every method reports rank and unknowns, plus gram_rcond when a fast path of
     structured_least_squares (not the lstsq fallback) made the least-squares
     solve (stls: its warm start): the Gram's Cholesky condition estimate, or
     lambda_min/lambda_max of the whitened voltage Gram under a hypothesis that
     holds every node pair. Convergence, KKT residual, Newton steps taken,
     SuperLU factorizations of the step system (one when every later step
     refined on the first step's factors) and the damping of the last step are
-    stls's, None on the exact path.
+    stls's, None on the exact and plugin paths.
     """
     sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,
@@ -270,11 +280,12 @@ def solver_outcome(est: TopologyEstimate) -> dict:
 def topology_report(est: TopologyEstimate, score: TopologyScore | None = None) -> dict:
     """JSON-ready report of a recovered topology."""
     kept = np.flatnonzero(est.y_hat)
-    edges = est.hypothesis.edges
+    inc, y = est.hypothesis.incidence, est.y_hat[kept]
     report = {
         **solver_outcome(est),
-        "edges": [{"i": edges[k][0], "j": edges[k][1], "y": [val.real, val.imag]}
-                  for k, val in zip(kept.tolist(), est.y_hat[kept].tolist())],
+        "edges": [{"i": i, "j": j, "y": [re, im]} for i, j, re, im in zip(
+            (inc.plus[kept] + 1).tolist(), (inc.minus[kept] + 1).tolist(),
+            y.real.tolist(), y.imag.tolist())],
         "alpha": float(est.alpha),
         "relative": est.relative,
         "tau": est.tau,

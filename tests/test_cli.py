@@ -302,7 +302,23 @@ def test_identify_report_names_solver_outcome(tmp_path, cycle5):
     assert 1 <= report["factorizations"] <= report["steps"]
     assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
                  "--relative", "--method", "plugin", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["method"] == "exact"
+    report = json.loads(out.read_text())
+    assert report["method"] == "plugin" and report["steps"] is None
+
+
+def test_identify_reports_plugin_where_auto_picks_it(tmp_path):
+    """A noisy set under the complete prior on 36 nodes has 630 > 600 unknowns."""
+    net_path, clean, noisy = tmp_path / "tree36.json", tmp_path / "ms.csv", tmp_path / "noisy.csv"
+    out = tmp_path / "report.json"
+    rng = np.random.default_rng(215)
+    save_network(random_admittances(random_tree(36, rng), rng), net_path)
+    assert main(["synth", "--network", str(net_path), "--tau", "35", "--profile", "independent",
+                 "--out", str(clean)]) == 0
+    assert main(["noise", "--in", str(clean), "--out", str(noisy)]) == 0
+    assert main(["identify", "--measurements", str(noisy), "--prior", "complete",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["method"], report["unknowns"], report["converged"]) == ("plugin", 630, None)
 
 
 @pytest.mark.parametrize("sigma, method", [("0", "exact"), ("0.001", "stls")])

@@ -254,9 +254,8 @@ def test_structured_solve_matches_stacked_lstsq(n, kind, profile, tau_frac, sigm
     ms = make(net, tau, seed=seed)
     if sigma:
         ms = add_noise(ms, NoiseSpec(sigma), seed=seed + 1)
-    h = incidence_matrix(prior.graph)
-    y, diag = structured_least_squares(ms, h)
-    y_ls, diag_ls = least_squares(*stack_coefficients(ms, h))
+    y, diag = structured_least_squares(ms, prior.graph.incidence)
+    y_ls, diag_ls = least_squares(*stack_coefficients(ms, incidence_matrix(prior.graph)))
     assert (diag.rank, diag.unknowns) == (diag_ls.rank, diag_ls.unknowns)
     if diag.unique:
         np.testing.assert_allclose(y, y_ls, rtol=1e-9)
@@ -277,8 +276,7 @@ def test_structured_solve_never_builds_well_conditioned_stack(monkeypatch):
     rng = np.random.default_rng(310)
     net = random_admittances(random_connected_graph(n, rng, 0.5), rng)
     ms = synthesize_independent(net, n - 1, seed=311)
-    h = incidence_matrix(complete_graph(n))
-    y, diag = structured_least_squares(ms, h)
+    y, diag = structured_least_squares(ms, complete_graph(n).incidence)
     assert diag.unique and diag.gram_rcond >= 1e-10
     truth = dict(zip(net.graph.edges, net.y))
     expected = np.array([truth.get(edge, 0j) for edge in complete_graph(n).edges])
@@ -290,9 +288,9 @@ def test_structured_solve_below_threshold_is_minimum_norm():
     n = 6
     net = random_admittances(complete_graph(n), np.random.default_rng(312))
     ms = synthesize_independent(net, n - 3, seed=313)
-    h = incidence_matrix(complete_graph(n))
-    y, diag = structured_least_squares(ms, h)
-    y_ls, diag_ls = least_squares(*stack_coefficients(ms, h))
+    graph = complete_graph(n)
+    y, diag = structured_least_squares(ms, graph.incidence)
+    y_ls, diag_ls = least_squares(*stack_coefficients(ms, incidence_matrix(graph)))
     assert not diag.unique and diag.gram_rcond is None
     assert diag == diag_ls
     assert np.array_equal(y, y_ls)

@@ -82,6 +82,33 @@ def test_incidence_column_structure():
         assert np.all(np.count_nonzero(h, axis=0) == 2)
 
 
+@pytest.mark.parametrize("graph", [complete_graph(6), NetworkGraph(4, ()),
+                                   random_connected_graph(9, np.random.default_rng(3), 0.3)])
+def test_incidence_endpoints_apply_the_dense_matrix(graph):
+    """diff, scatter and laplacian are H^T x, H x and H diag(y) H^T, in any orientation.
+
+    scatter sums each node's terms in edge order, so flipping a column changes no bit.
+    """
+    from gridident import Incidence
+    rng = np.random.default_rng(graph.e)
+    inc, h = graph.incidence, incidence_matrix(graph)
+    assert graph.incidence is inc and np.array_equal(inc.matrix(), h)
+    x = rng.standard_normal((graph.n, 3)) + 1j * rng.standard_normal((graph.n, 3))
+    z = rng.standard_normal((graph.e, 3)) + 1j * rng.standard_normal((graph.e, 3))
+    y = z[:, 0]
+    assert np.array_equal(inc.diff(x), h.T @ x)
+    for arg in (z, z.real, y):
+        np.testing.assert_allclose(inc.scatter(arg), h @ arg, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(inc.laplacian(y), (h * y) @ h.T, rtol=0, atol=1e-14)
+    flip = rng.random(graph.e) < 0.5
+    flipped = Incidence(graph.n, np.where(flip, inc.minus, inc.plus),
+                        np.where(flip, inc.plus, inc.minus))
+    assert np.array_equal(flipped.scatter(np.where(flip, -1, 1)[:, None] * z), inc.scatter(z))
+    assert np.array_equal(flipped.laplacian(y), inc.laplacian(y))
+    with pytest.raises(ValueError):
+        Incidence(3, [0, 1], [1, 1])
+
+
 def test_tree_incidence_rank_is_n_minus_1():
     rng = np.random.default_rng(2)
     for n in (2, 5, 17, 40):

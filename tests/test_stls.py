@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridident import (NoiseSpec, PriorTopology, add_noise, complete_graph,
+from gridident import (Incidence, NoiseSpec, PriorTopology, add_noise, complete_graph,
                        constraint_residual, estimate_vector_ls, incidence_matrix,
                        least_squares, plug_in_ols, random_admittances, solve_stls,
                        stack_coefficients, synthesize, synthesize_independent,
@@ -21,18 +21,18 @@ def _network(n, seed):
     return random_admittances(complete_graph(n), np.random.default_rng(seed))
 
 
-def _jy(h, v, dv):
+def _jy(inc, v, dv):
     """Each point's 2n-by-2e constraint-by-y block of the Newton matrix at voltage noise dv.
 
     Rows hold the real then imaginary parts of the point's constraint, columns
     the real then imaginary admittance parts; the state's y and multipliers
     do not enter it.
     """
-    n, e = h.shape
+    n, e = inc.n, inc.e
     tau = v.shape[1]
     y = np.ones(e, dtype=complex)
     s = np.vstack([dv, np.zeros_like(dv)])
-    k = _newton_matrix(h, v, s, y, np.ones((n, tau), dtype=complex))
+    k = _newton_matrix(inc, v, s, y, np.ones((n, tau), dtype=complex))
     ns = tau * 4 * n
     jy = k[ns + 2 * e:, ns:ns + 2 * e].toarray()
     return jy.reshape(tau, 2 * n, 2 * e)
@@ -41,23 +41,23 @@ def _jy(h, v, dv):
 def test_realify_block_structure():
     net = _network(4, 50)
     ms = synthesize_independent(net, 3, seed=51)
-    h = incidence_matrix(net.graph)
+    inc = net.graph.incidence
     v = ms.voltage_matrix()
-    a = _jy(h, v, 0.01 * v[::-1])
+    a = _jy(inc, v, 0.01 * v[::-1])
     n, e = 4, 6
     assert a.shape == (3, 2 * n, 2 * e)
     top_left = a[:, :n, :e]
     assert np.array_equal(top_left, a[:, n:, e:])
     assert np.array_equal(a[:, :n, e:], -a[:, n:, :e])
     for k in range(3):  # each point's block depends on that point alone
-        assert np.array_equal(a[k], _jy(h, v[:, k:k + 1], 0.01 * v[::-1, k:k + 1])[0])
+        assert np.array_equal(a[k], _jy(inc, v[:, k:k + 1], 0.01 * v[::-1, k:k + 1])[0])
 
 
 def test_realify_real_input_reduces_to_real_arithmetic():
     net = _network(3, 52)
     h = incidence_matrix(net.graph)
     v = np.array([[1.0], [2.0], [-0.5]]) + 0j
-    a = _jy(h, v, np.zeros_like(v))[0]
+    a = _jy(net.graph.incidence, v, np.zeros_like(v))[0]
     assert np.abs(a[:3, 3:]).max() == 0  # no imaginary coupling
     assert np.array_equal(a[:3, :3], voltage_coefficient(h, v[:, 0]).real)
 
@@ -72,25 +72,31 @@ def test_realified_product_matches_complex_product():
     for tau in (1, 4):
         vs = rng.standard_normal((5, tau)) + 1j * rng.standard_normal((5, tau))
         dvs = 0.01 * (rng.standard_normal((5, tau)) + 1j * rng.standard_normal((5, tau)))
-        batched = _jy(h, vs, dvs)
+        batched = _jy(net.graph.incidence, vs, dvs)
         for k in range(tau):
             expected = voltage_coefficient(h, vs[:, k] + dvs[:, k]) @ y
             assert np.abs(batched[k] @ y2
                           - np.concatenate([expected.real, expected.imag])).max() <= 1e-12
     # the block is zero wherever H is zero, which on a tree is most entries
     from gridident import random_tree
-    tree_h = incidence_matrix(random_tree(7, rng))
+    tree = random_tree(7, rng)
     vs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-    off_pattern = np.tile(tree_h == 0, (2, 2))
-    assert np.all(_jy(tree_h, vs, np.zeros_like(vs))[:, off_pattern] == 0)
+    off_pattern = np.tile(incidence_matrix(tree) == 0, (2, 2))
+    assert np.all(_jy(tree.incidence, vs, np.zeros_like(vs))[:, off_pattern] == 0)
 
 
 def test_realify_zero_voltage():
     net = _network(3, 55)
-    h = incidence_matrix(net.graph)
     for tau in (1, 2):
         v = np.zeros((3, tau), dtype=complex)
-        assert np.abs(_jy(h, v, v)).max() == 0
+        assert np.abs(_jy(net.graph.incidence, v, v)).max() == 0
+
+
+def _flipped(inc, signs):
+    """inc with the columns at negative signs negated: their plus and minus ends swapped."""
+    flip = signs < 0
+    return Incidence(inc.n, np.where(flip, inc.minus, inc.plus),
+                     np.where(flip, inc.plus, inc.minus))
 
 
 def _no_noise(ms):
@@ -100,8 +106,7 @@ def _no_noise(ms):
 def test_constraint_residual_zero_at_exact_solution():
     net = _network(4, 56)
     ms = synthesize_independent(net, 3, seed=57)
-    h = incidence_matrix(net.graph)
-    g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(),
+    g = constraint_residual(net.graph.incidence, ms.voltage_matrix(), ms.current_matrix(),
                             _no_noise(ms), _no_noise(ms), net.y)
     assert g.shape == (4, 3)
     assert np.abs(g).max() <= 1e-10
@@ -110,8 +115,7 @@ def test_constraint_residual_zero_at_exact_solution():
 def test_constraint_residual_zero_parameters():
     net = _network(4, 58)
     ms = synthesize_independent(net, 3, seed=59)
-    h = incidence_matrix(net.graph)
-    g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(),
+    g = constraint_residual(net.graph.incidence, ms.voltage_matrix(), ms.current_matrix(),
                             _no_noise(ms), _no_noise(ms), np.zeros(net.graph.e, dtype=complex))
     assert np.array_equal(g, -ms.current_matrix())
 
@@ -126,7 +130,8 @@ def test_constraint_residual_matches_complex_recomputation():
     dv = s[:n] + 1j * s[n:2 * n]
     di = s[2 * n:3 * n] + 1j * s[3 * n:]
     y = rng.standard_normal(e) + 1j * rng.standard_normal(e)
-    g = constraint_residual(h, ms.voltage_matrix(), ms.current_matrix(), dv, di, y)
+    g = constraint_residual(net.graph.incidence, ms.voltage_matrix(), ms.current_matrix(),
+                            dv, di, y)
     # independent per-point recomputation of the noisy equation
     for k, (v_k, cur_k) in enumerate(ms.points):
         lhs = voltage_coefficient(h, v_k + dv[:, k]) @ y - (cur_k + di[:, k])
@@ -135,17 +140,17 @@ def test_constraint_residual_matches_complex_recomputation():
 
 def test_noise_blocks_length_check():
     net = _network(3, 63)
-    h = incidence_matrix(net.graph)
+    inc = net.graph.incidence
     ms = synthesize_independent(net, 2, seed=63)
     v, cur, y = ms.voltage_matrix(), ms.current_matrix(), net.y
     ok = _no_noise(ms)
     for dv, di in ((np.zeros((5, 2)), ok), (ok, np.zeros(3)), (ok, np.zeros((3, 3)))):
         with pytest.raises(ValueError):
-            constraint_residual(h, v, cur, dv, di, y)
+            constraint_residual(inc, v, cur, dv, di, y)
     with pytest.raises(ValueError):  # one point given as a vector, not an n-by-1 array
-        constraint_residual(h, v[:, 0], cur[:, 0], ok[:, 0], ok[:, 0], y)
-    with pytest.raises(ValueError):  # incidence matrix over a different node count
-        constraint_residual(incidence_matrix(complete_graph(4)), v, cur, ok, ok, np.zeros(6))
+        constraint_residual(inc, v[:, 0], cur[:, 0], ok[:, 0], ok[:, 0], y)
+    with pytest.raises(ValueError):  # incidence over a different node count
+        constraint_residual(complete_graph(4).incidence, v, cur, ok, ok, np.zeros(6))
 
 
 def _kkt_state(kind, seed):
@@ -158,29 +163,29 @@ def _kkt_state(kind, seed):
              "minus_one": lambda: PriorTopology.minus_one(n, (2, 5))}[kind]()
     net = random_admittances(prior.graph, rng)
     ms = add_noise(synthesize_independent(net, tau, seed=seed), NoiseSpec(0.001), seed=seed)
-    h = incidence_matrix(prior.graph)
+    inc = prior.graph.incidence
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     state = (0.01 * cplx(2 * n, tau), net.y + 0.1 * cplx(prior.graph.e), cplx(n, tau))
-    return h, ms.voltage_matrix(), ms.current_matrix(), state, rng
+    return inc, ms.voltage_matrix(), ms.current_matrix(), state, rng
 
 
 @pytest.mark.parametrize("kind, seed", [("complete", 94), ("tree", 95), ("minus_one", 96)])
 def test_newton_matrix_is_the_residual_jacobian(kind, seed):
     """The KKT residual is quadratic in (s, y, lam), so central differences are exact."""
-    h, v, cur, (s, y, lam), rng = _kkt_state(kind, seed)
-    n, e = h.shape
+    inc, v, cur, (s, y, lam), rng = _kkt_state(kind, seed)
+    n, e = inc.n, inc.e
     tau = v.shape[1]
-    k = _newton_matrix(h, v, s, y, lam)
+    k = _newton_matrix(inc, v, s, y, lam)
     assert k.shape == (tau * 6 * n + 2 * e,) * 2
     eps = 1e-3
     for _ in range(3):
         delta = rng.standard_normal(k.shape[0])
         ds, dy, dlam = _split_step(eps * delta, n, e, tau)
-        r_plus = _kkt_residual(h, v, cur, s + ds, y + dy, lam + dlam)[0]
-        r_minus = _kkt_residual(h, v, cur, s - ds, y - dy, lam - dlam)[0]
+        r_plus = _kkt_residual(inc, v, cur, s + ds, y + dy, lam + dlam)[0]
+        r_minus = _kkt_residual(inc, v, cur, s - ds, y - dy, lam - dlam)[0]
         expected = k @ delta
         assert np.abs((r_plus - r_minus) / (2 * eps) - expected).max() <= \
             1e-9 * np.abs(expected).max()
@@ -192,10 +197,10 @@ def test_newton_matrix_is_symmetric_on_a_fixed_pattern(kind, seed):
 
     The warm start's zero noise and multipliers leave the stored pattern as it is.
     """
-    h, v, _, (s, y, lam), _ = _kkt_state(kind, seed)
-    k = _newton_matrix(h, v, s, y, lam)
+    inc, v, _, (s, y, lam), _ = _kkt_state(kind, seed)
+    k = _newton_matrix(inc, v, s, y, lam)
     assert (k - k.T).count_nonzero() == 0
-    k0 = _newton_matrix(h, v, np.zeros_like(s), y, np.zeros_like(lam))
+    k0 = _newton_matrix(inc, v, np.zeros_like(s), y, np.zeros_like(lam))
     assert np.array_equal(k0.indptr, k.indptr) and np.array_equal(k0.indices, k.indices)
 
 
@@ -204,15 +209,15 @@ def test_newton_matrix_assembly_memory_is_linear_in_the_edges():
     from gridident import load_network
     net = load_network(pathlib.Path(__file__).resolve().parents[1] / "networks" / "tree123.json")
     ms = add_noise(synthesize_independent(net, 20, seed=100), NoiseSpec(0.001), seed=101)
-    h = incidence_matrix(net.graph)
-    n, tau = h.shape[0], ms.tau
+    inc = net.graph.incidence
+    n, tau = inc.n, ms.tau
     rng = np.random.default_rng(102)
     s = 1e-3 * (rng.standard_normal((2 * n, tau)) + 1j * rng.standard_normal((2 * n, tau)))
     lam = rng.standard_normal((n, tau)) + 1j * rng.standard_normal((n, tau))
     v = ms.voltage_matrix()
     tracemalloc.start()
     try:
-        k = _newton_matrix(h, v, s, net.y, lam)
+        k = _newton_matrix(inc, v, s, net.y, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,18 +232,18 @@ def test_constraint_residual_is_the_per_point_equation(n, tau, seed):
     from gridident import random_connected_graph
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(n, rng, 0.5)
-    h = incidence_matrix(graph)
+    inc, h = graph.incidence, incidence_matrix(graph)
     e = graph.e
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     v, cur, dv, di, y = cplx(n, tau), cplx(n, tau), cplx(n, tau), cplx(n, tau), cplx(e)
-    g = constraint_residual(h, v, cur, dv, di, y)
+    g = constraint_residual(inc, v, cur, dv, di, y)
     for k in range(tau):
         expected = voltage_coefficient(h, v[:, k] + dv[:, k]) @ y - (cur[:, k] + di[:, k])
         assert np.allclose(g[:, k], expected, rtol=1e-12, atol=1e-12)
-    flipped = h * rng.choice([-1.0, 1.0], size=e)
+    flipped = _flipped(inc, rng.choice([-1.0, 1.0], size=e))
     assert np.allclose(constraint_residual(flipped, v, cur, dv, di, y), g,
                        rtol=1e-12, atol=1e-12)
 
@@ -252,24 +257,25 @@ def test_edge_orientation_does_not_change_the_estimate(n, tau, complete, seed):
     Every product with a flipped column flips twice, so both the Cholesky path
     and the lstsq fallback (complete priors below n-1 points) see the same numbers.
     """
-    from gridident import random_connected_graph, stls, structured_least_squares
+    from gridident import random_connected_graph, structured_least_squares
     rng = np.random.default_rng(seed)
     net = random_admittances(random_connected_graph(n, rng, 0.5), rng)
     prior = PriorTopology.complete(n) if complete else PriorTopology.explicit(net.graph)
     ms = add_noise(synthesize(net, tau, [seed, 1]), NoiseSpec(1e-3), [seed, 2])
-    h = incidence_matrix(prior.graph)
-    flipped = h * rng.choice([-1.0, 1.0], size=prior.graph.e)
+    inc = prior.graph.incidence
+    flipped = _flipped(inc, rng.choice([-1.0, 1.0], size=prior.graph.e))
     v, cur = ms.voltage_matrix(), ms.current_matrix()
 
-    y, diag = structured_least_squares(ms, h)
+    y, diag = structured_least_squares(ms, inc)
     y_f, diag_f = structured_least_squares(ms, flipped)
     assert np.array_equal(y, y_f) and diag == diag_f
     dv, di = 1e-3 * v[::-1], 1e-3 * cur[::-1]
-    assert np.array_equal(constraint_residual(h, v, cur, dv, di, y),
+    assert np.array_equal(constraint_residual(inc, v, cur, dv, di, y),
                           constraint_residual(flipped, v, cur, dv, di, y))
     sol = solve_stls(ms, prior)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stls, "incidence_matrix", lambda graph: flipped)
+        # the graph keeps its incidence in its instance dict, where solve_stls reads it
+        mp.setitem(vars(prior.graph), "incidence", flipped)
         sol_f = solve_stls(ms, prior)
     assert np.array_equal(sol.y, sol_f.y)
     assert (sol.converged, sol.uniqueness) == (sol_f.converged, sol_f.uniqueness)
@@ -382,6 +388,27 @@ def test_well_conditioned_solve_factors_once(monkeypatch, network, tau):
     sol = solve_stls(ms, prior)
     assert sol.converged
     assert (sol.factorizations, len(sol.trace) - 1, len(calls)) == (1, 2, 1)
+
+
+def test_newton_steps_share_one_int32_pattern(monkeypatch):
+    """The Newton matrix's index arrays are built once per solve; each step writes values only."""
+    from gridident import stls
+    ms, prior = _noisy_input("mesh14", 16)
+    matrices, damped_solve = [], stls._damped_solve
+
+    def recording(matrix, rhs, mu, lu=None):
+        matrices.append(matrix)
+        return damped_solve(matrix, rhs, mu, lu)
+
+    monkeypatch.setattr(stls, "_damped_solve", recording)
+    sol = solve_stls(ms, prior)
+    assert sol.converged and len(sol.trace) - 1 == len(matrices) == 2
+    first, second = matrices
+    for name in ("indices", "indptr"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype == np.int32
+        assert np.shares_memory(a, b), name
+    assert not np.shares_memory(first.data, second.data)
 
 
 @pytest.mark.parametrize("network, tau, sigma, seed, fallback", [

@@ -19,16 +19,21 @@ pattern is dropped when the solve returns. SuperLU factors the matrix with a
 symmetric minimum-degree ordering. A solve factors it once, at the first
 step, and keeps those factors: each later step solves its own matrix by
 iterative refinement on them, since from one step to the next the matrix
-moves only by the noise's order. Every step passes the same accuracy test,
-a backward error of at most 1e-6 of its right-hand side; a step whose
-refinement stalls before that drops the stale factors, factors its own
+moves only by the noise's order. The first step starts from zero
+multipliers, where P, the one block that is not complex-linear, vanishes:
+its matrix is then exactly the realification of a complex Hermitian matrix
+of half the dimension, and that is what SuperLU factors (on tree123 under
+its tree prior, a fifth of the stored entries). Every step passes the same accuracy test, a backward error of at
+most 1e-6 of its right-hand side against the real matrix; a step whose
+refinement stalls before that drops the stale factors, factors its own real
 matrix and keeps the new factors, so the iterates are full Newton steps
 either way. It returns its
 least-squares warm start's rank diagnostic and never warns. The plug-in ordinary least squares
 estimator averages replicate snapshots before one plain regression;
 topo_recover.choose_method decides when it replaces the structured solve.
 
-scipy.sparse and SuperLU load on the first Newton step, not on import:
+scipy.sparse, SuperLU and the native wrappers in _native load on the first
+Newton step, not on import:
 importing scipy costs a fresh process about 0.3 s and 30 MB of resident
 memory, which noiseless runs, the CLI's help and synthesis never need.
 """
@@ -70,7 +75,8 @@ class StlsSolution:
     taken or none was needed): positive on rank-deficient input, or where a
     step system was singular. factorizations counts the SuperLU factorizations
     of step systems: 1 when every later step refined on the first step's
-    factors, 0 when no step was taken.
+    factors, 0 when no step was taken. The first step's factorizations are
+    of its complex Hermitian form; a later step's refactorization is real.
     """
 
     y: np.ndarray
@@ -127,6 +133,12 @@ def _split_step(step: np.ndarray, n: int, e: int, tau: int):
             _complex_layout(step[ns + 2 * e:].reshape(tau, 2 * n), n))
 
 
+def _join_step(ds, dy, dlam, n):
+    # inverse of _split_step
+    return np.concatenate([_real_layout(ds, n).ravel(), dy.real, dy.imag,
+                           _real_layout(dlam, n).ravel()])
+
+
 def _kkt_residual(inc, v, cur, s, y, lam):
     """Stationarity-plus-feasibility residual of the Lagrangian, and the constraint's max-norm.
 
@@ -137,87 +149,121 @@ def _kkt_residual(inc, v, cur, s, y, lam):
     stationarity (real, imaginary), then every point's constraint (2n).
     """
     n = inc.n
-    g = _real_layout(constraint_residual(inc, v, cur, s[:n], s[n:], y), n)
+    g = constraint_residual(inc, v, cur, s[:n], s[n:], y)
     lap = inc.laplacian(y)  # H diag(y) H^T, complex symmetric
-    f_s = _real_layout(s + np.vstack([lap.conj() @ lam, -lam]), n)
     f_y = _stack_adjoint(inc, inc.diff(v + s[:n]), lam)
-    resid = np.concatenate([f_s.ravel(), f_y.real, f_y.imag, g.ravel()])
-    return resid, float(np.abs(g).max())
+    resid = _join_step(s + np.vstack([lap.conj() @ lam, -lam]), f_y, g, n)
+    return resid, float(np.abs(resid[resid.shape[0] - 2 * g.size:]).max())
 
 
-def _point_pattern(inc):
-    """The stored pattern of _newton_matrix at one operating point, in CSC form.
+# How a complex entry a of a block, at complex row r and column c, is realified: the
+# real entries it stores, as (row part, column part, source part), where part 0 is a
+# real part and 1 an imaginary one, and source parts 0-3 read Re S, Im S, -Re S and
+# -Im S of the entry's source S
+_REALIFIED = {
+    "scalar": ((0, 0, 0), (1, 1, 0)),  # a = S, a real number
+    "conj": ((0, 0, 0), (0, 1, 1), (1, 0, 3), (1, 1, 0)),  # a = conj(S)
+    "antilinear": ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2)),  # dz -> S conj(dz)
+}
+
+
+def _point_pattern(inc, real=True):
+    """The stored pattern of the Newton matrix at one operating point, in CSC form.
+
+    The blocks are listed once, over the point's complex unknowns: voltage
+    noise and current noise (n each), admittances (e), multipliers (n). Their
+    entries read the point's complex sources S, which are 1, -1, then b, c
+    (2e each) and lap (n + 2e), as _point_sources forms them. real=True
+    realifies every block into _newton_matrix's layout, where an unknown's
+    imaginary part follows its real part by n (by e for the admittances).
+    real=False keeps the complex Hermitian form that holds at zero
+    multipliers; it leaves out P, the one antilinear block, which is zero there.
 
     Returns indptr, the row indices and take: stored entry k holds entry take[k]
-    of the point's sources, which are 1, -1, then b.real, b.imag, -b.imag,
-    c.real, c.imag and -c.real (2e each), then lap.real, lap.imag and -lap.imag
-    (n + 2e each), as _newton_matrix forms them.
+    of [Re S, Im S, -Re S, -Im S] (real) or of [S, conj(S)] (complex).
     """
     n, e = inc.n, inc.e
-    at_mult = 4 * n + 2 * e  # the noise rows come first, then the admittances
-    dim = at_mult + 2 * n
+    m = 2 + 6 * e + n  # sources per point
+    at_y, at_mult = 2 * n, 2 * n + e
     node = np.stack([inc.plus, inc.minus], axis=1).ravel()  # edge-major: both ends
-    edge = np.repeat(np.arange(e), 2)
-    y_re, y_im = 4 * n + edge, 4 * n + e + edge
-    mult = node + at_mult
-    # the Laplacian's diagonal, then both off-diagonal entries of every edge
+    edge = at_y + np.repeat(np.arange(e), 2)
     nodes = np.arange(n)
+    # the Laplacian's diagonal, then both off-diagonal entries of every edge
     lap_row = np.concatenate([nodes, inc.plus, inc.minus])
     lap_col = np.concatenate([nodes, inc.minus, inc.plus]) + at_mult
-    b_re, b_im, b_neg_im, c_re, c_im, c_neg_re = (2 + k * 2 * e + np.arange(2 * e)
-                                                  for k in range(6))
-    l_re, l_im, l_neg_im = (2 + 12 * e + k * (n + 2 * e) + np.arange(n + 2 * e)
-                            for k in range(3))
+    src_b, src_c, src_lap = (2 + offset + np.arange(size) for offset, size in
+                             ((0, 2 * e), (2 * e, 2 * e), (4 * e, n + 2 * e)))
     upper = [
-        # Jy^T: [[B_re, -B_im], [B_im, B_re]] with B = H diag(H^T(V_t + dV_t))
-        (y_re, mult, b_re), (y_im, mult, b_neg_im), (y_re, mult + n, b_im), (y_im, mult + n, b_re),
+        # Jy^H, with Jy = H diag(H^T(V_t + dV_t)) the constraint's derivative in y
+        (edge, node + at_mult, src_b, "conj"),
         # P: conj(Lap) lam = H diag(H^T lam) conj(y) on the voltage noise only
-        (node, y_re, c_re), (node, y_im, c_im), (node + n, y_re, c_im), (node + n, y_im, c_neg_re),
-        # Js: [[L_re, L_im], [-L_im, L_re]] on the voltage noise, -I on the current noise
-        (lap_row, lap_col, l_re), (lap_row, lap_col + n, l_im),
-        (lap_row + n, lap_col, l_neg_im), (lap_row + n, lap_col + n, l_re),
-        (nodes + 2 * n, nodes + at_mult, 1), (nodes + 3 * n, nodes + n + at_mult, 1),
+        (node, edge, src_c, "antilinear"),
+        # Js^H, with Js = [Lap, -I] the constraint's derivative in the noise
+        (lap_row, lap_col, src_lap, "conj"),
+        (nodes + n, nodes + at_mult, 1, "scalar"),
     ]
-    rows, cols, src = (np.concatenate(parts)
-                       for parts in zip(*(np.broadcast_arrays(*block) for block in upper)))
-    eye = np.arange(4 * n)  # the identity on the noise, source 0
-    # the lower blocks mirror the upper ones; CSC order is column-major, rows ascending
+    if real:
+        # where each complex unknown's real, then imaginary part sits in the real layout:
+        # [Re dV, Im dV, Re dI, Im dI], then [Re y, Im y], then [Re lam, Im lam]
+        starts, widths = (0, 2 * n, 4 * n, 4 * n + 2 * e), (n, n, e, n)
+        at = [np.concatenate([start + p * w + np.arange(w) for start, w in zip(starts, widths)])
+              for p in (0, 1)]
+        # the realification is symmetric: the lower blocks read the upper ones' sources
+        upper = [(at[pr][r], at[pc][c], k + s * m, k + s * m)
+                 for r, c, k, kind in upper for pr, pc, s in _REALIFIED[kind]]
+    else:
+        # Hermitian: the upper blocks read conj(S), the lower ones S
+        upper = [(r, c, k + m * (kind == "conj"), k)
+                 for r, c, k, kind in upper if kind != "antilinear"]
+    rows, cols, take, mirrored = (np.concatenate(entries) for entries in zip(
+        *(np.broadcast_arrays(*block) for block in upper)))
+    parts = 2 if real else 1
+    eye = np.arange(2 * parts * n)  # the identity on the noise, source 0
     rows, cols = np.concatenate([eye, rows, cols]), np.concatenate([eye, cols, rows])
-    order = np.lexsort((rows, cols))
+    take = np.concatenate([np.zeros(eye.shape[0], dtype=take.dtype), take, mirrored])
+    order = np.lexsort((rows, cols))  # CSC order: column-major, rows ascending
+    dim = parts * (3 * n + e)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=dim))])
-    return indptr, rows[order], np.concatenate([np.zeros(4 * n, dtype=int), src, src])[order]
+    return indptr, rows[order], take[order]
 
 
-def _newton_pattern(inc, tau):
-    """The stored pattern of _newton_matrix at tau points: int32 CSC indptr and row indices.
+def _newton_pattern(inc, tau, real=True):
+    """The stored pattern of the Newton matrix at tau points: int32 CSC indptr and row indices.
 
     Also returns where each stored value comes from, as three index arrays
     into the tau-by-S matrix of every point's sources (_point_pattern). They
     come from the one-point pattern: each noise and multiplier column of a
     point repeats that pattern with the point's rows, and each admittance
-    column holds the four noise rows of every point, then the four
-    multiplier rows of every point. The pattern depends on the endpoints and
-    tau alone, so solve_stls builds it once per solve. Apart from the indices
-    a matrix holds anyway, it keeps only O(n + e) integers.
+    column holds the noise rows of every point, then the multiplier rows of
+    every point. The pattern depends on the endpoints and tau alone, so
+    solve_stls builds the real one once per solve, and the complex one
+    (real=False) with the first step's matrix. Apart from the indices a matrix
+    holds anyway, it keeps only O(n + e) integers.
     """
     n, e = inc.n, inc.e
-    indptr1, rows1, take1 = _point_pattern(inc)
-    ns = 4 * n * tau  # the noise rows; the admittances follow, then the multipliers
-    t = np.arange(tau)[:, np.newaxis]
+    parts = 2 if real else 1
+    indptr1, rows1, take1 = _point_pattern(inc, real)
+    w_noise, w_y = 2 * parts * n, parts * e  # one point's noise rows, then the admittances
+    ns = w_noise * tau  # the noise rows; the admittances follow, then the multipliers
+    t = np.arange(tau, dtype=np.int32)[:, np.newaxis]
+    rows1 = rows1.astype(np.int32)
 
     def rows_at(r):
-        # one-point rows r at every point: noise rows move by 4n, multiplier rows by 2n per point
-        return r + np.where(r < 4 * n, 4 * n * t,
-                            ns - 4 * n + np.where(r < 4 * n + 2 * e, 0, 2 * n * t))
+        # one-point rows r at every point: noise rows move by w_noise per point and
+        # multiplier rows by parts * n
+        return r + np.where(r < w_noise, w_noise * t,
+                            ns - w_noise + np.where(r < w_noise + w_y, 0, parts * n * t))
 
-    cuts = indptr1[[4 * n, 4 * n + 2 * e]]
+    cuts = indptr1[[w_noise, w_noise + w_y]]
     noise_rows, y_rows, mult_rows = np.split(rows1, cuts)
     noise_take, y_take, mult_take = np.split(take1, cuts)
-    # every admittance column holds 4 noise rows, then 4 multiplier rows, at each point
-    y_rows, y_take = y_rows.reshape(2 * e, 2, 1, 4), y_take.reshape(2 * e, 2, 4)
+    # at each point an admittance column holds 4 noise rows (P), then 4 multiplier rows
+    # (Jy) in real form, and 2 multiplier rows in complex form
+    y_rows = y_rows.reshape(w_y, parts, 1, 2 * parts)
+    y_take = y_take.reshape(w_y, parts, 2 * parts)
     counts = np.diff(indptr1)
-    counts = np.concatenate([np.tile(counts[:4 * n], tau), np.full(2 * e, 8 * tau),
-                             np.tile(counts[4 * n + 2 * e:], tau)])
+    counts = np.concatenate([np.tile(counts[:w_noise], tau), counts[w_noise:w_noise + w_y] * tau,
+                             np.tile(counts[w_noise + w_y:], tau)])
     indptr = np.zeros(counts.shape[0] + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
@@ -229,11 +275,43 @@ def _newton_pattern(inc, tau):
 
 def _by_block(a, tau, takes):
     # views of a stored-entry array: the noise columns (tau-by-), the admittance
-    # columns (2e-by-2-by-tau-by-4) and the multiplier columns (tau-by-)
+    # columns (columns-by-groups-by-tau-by-rows) and the multiplier columns (tau-by-)
     noise_take, y_take, mult_take = takes
     start, stop = tau * noise_take.size, tau * (noise_take.size + y_take.size)
-    return (a[:start].reshape(tau, -1), a[start:stop].reshape(y_take.shape[0], 2, tau, 4),
+    columns, groups, rows = y_take.shape
+    return (a[:start].reshape(tau, -1), a[start:stop].reshape(columns, groups, tau, rows),
             a[stop:].reshape(tau, -1))
+
+
+def _point_sources(inc, v, s, y, lam):
+    # every point's complex sources, one row per point, in _point_pattern's order
+    n, tau = inc.n, v.shape[1]
+    d, g = inc.diff(v + s[:n]), inc.diff(lam)
+    # at each edge's two ends, + then -: sign * H^T(V + dV) and sign * H^T lam
+    b = np.stack([d, -d], axis=1).reshape(-1, tau)
+    c = np.stack([g, -g], axis=1).reshape(-1, tau)
+    # the Laplacian's diagonal sums y over the edges at each node
+    ends, twice = np.stack([inc.plus, inc.minus], axis=1).ravel(), np.repeat(y, 2)
+    diag = (np.bincount(ends, twice.real, minlength=n)
+            + 1j * np.bincount(ends, twice.imag, minlength=n))
+    lap = np.concatenate([diag, -y, -y])[:, np.newaxis].repeat(tau, axis=1)
+    return np.concatenate([np.ones((1, tau)), -np.ones((1, tau)), b, c, lap]).T
+
+
+def _assemble(pattern, src):
+    # the CSC matrix of pattern (_newton_pattern) whose stored entries read src, the
+    # tau-by-S sources of every point: real or complex
+    import scipy.sparse as sp  # deferred: numpy-only paths never pay scipy's import
+
+    indptr, indices, takes = pattern
+    data = np.empty(indices.shape[0], dtype=src.dtype)
+    noise, admittance, mult = _by_block(data, src.shape[0], takes)
+    noise_take, y_take, mult_take = takes
+    noise[...] = src[:, noise_take]
+    admittance[...] = src[:, y_take].transpose(1, 2, 0, 3)
+    mult[...] = src[:, mult_take]
+    dim = indptr.shape[0] - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def _newton_matrix(inc, v, s, y, lam, pattern=None):
@@ -252,65 +330,97 @@ def _newton_matrix(inc, v, s, y, lam, pattern=None):
 
     The pattern depends on the endpoints and tau alone: entries that happen to
     be zero, such as all of P at the warm start's zero multipliers, stay
-    stored, since without them the ordering found for that first step factors
-    slower (about 2x on a 14-node minus-one hypothesis). pattern is
-    _newton_pattern(inc, tau), which solve_stls builds once per solve in int32
-    so that every step shares its index arrays and writes only its values;
-    None builds a fresh one.
+    stored. pattern is _newton_pattern(inc, tau), which solve_stls builds once
+    per solve in int32 so that every step shares its index arrays and writes
+    only its values; None builds a fresh one.
     """
-    import scipy.sparse as sp  # deferred: numpy-only paths never pay scipy's import
+    src = _point_sources(inc, v, s, y, lam)
+    pattern = _newton_pattern(inc, v.shape[1]) if pattern is None else pattern
+    return _assemble(pattern, np.concatenate([src.real, src.imag, -src.real, -src.imag], axis=1))
 
-    n, tau = inc.n, v.shape[1]
-    indptr, indices, takes = _newton_pattern(inc, tau) if pattern is None else pattern
-    d, g = inc.diff(v + s[:n]), inc.diff(lam)
-    # at each edge's two ends, + then -: sign * H^T(V + dV) and sign * H^T lam
-    b = np.stack([d, -d], axis=1).reshape(-1, tau)
-    c = np.stack([g, -g], axis=1).reshape(-1, tau)
-    # the Laplacian's diagonal sums y over the edges at each node
-    ends, twice = np.stack([inc.plus, inc.minus], axis=1).ravel(), np.repeat(y, 2)
-    diag = (np.bincount(ends, twice.real, minlength=n)
-            + 1j * np.bincount(ends, twice.imag, minlength=n))
-    lap = np.concatenate([diag, -y, -y])[:, np.newaxis].repeat(tau, axis=1)
-    # every point's sources, one row per point, in _point_pattern's order
-    src = np.concatenate([np.ones((1, tau)), -np.ones((1, tau)), b.real, b.imag, -b.imag,
-                          c.real, c.imag, -c.real, lap.real, lap.imag, -lap.imag]).T
-    data = np.empty(indices.shape[0])
-    noise, admittance, mult = _by_block(data, tau, takes)
-    noise_take, y_take, mult_take = takes
-    noise[...] = src[:, noise_take]
-    admittance[...] = src[:, y_take].transpose(1, 2, 0, 3)
-    mult[...] = src[:, mult_take]
-    dim = indptr.shape[0] - 1
-    return sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+
+def _hermitian_matrix(inc, v, s, y):
+    """The complex Hermitian matrix that _newton_matrix realifies at zero multipliers.
+
+    It is [[I, 0, Js^H], [0, 0, Jy^H], [Js, Jy, 0]] over every point's complex
+    noise, the complex admittances and every point's complex multipliers, in
+    the order of _split_step: half the real matrix's dimension, 3n*tau + e,
+    and on tree123 under its tree prior a fifth of its stored entries. P, the
+    one block that is not complex-linear, vanishes with the multipliers. The
+    matrix's own int32 pattern is built with it and goes when it goes.
+    """
+    src = _point_sources(inc, v, s, y, np.zeros_like(v))  # the multipliers only enter P
+    return _assemble(_newton_pattern(inc, v.shape[1], real=False),
+                     np.concatenate([src, src.conj()], axis=1))
+
+
+class _HermitianFactors:
+    """SuperLU factors of a step system's complex Hermitian form; solve works in the real layout.
+
+    solve maps a right-hand side in the real KKT layout to the complex one,
+    solves there and maps the solution back. The complex system is the real
+    one exactly, so iterative refinement on these factors reads the real
+    matrix's residual as it would on real factors.
+    """
+
+    def __init__(self, lu, n: int, e: int, tau: int):
+        self.lu, self.n, self.e, self.tau = lu, n, e, tau
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        n, e, tau = self.n, self.e, self.tau
+        ds, dy, dlam = _split_step(rhs, n, e, tau)
+        z = self.lu.solve(np.concatenate([ds.T.ravel(), dy, dlam.T.ravel()]))
+        ns = 2 * n * tau
+        return _join_step(z[:ns].reshape(tau, 2 * n).T, z[ns:ns + e],
+                          z[ns + e:].reshape(tau, n).T, n)
+
+
+@dataclass
+class _KeptFactors:
+    """What a solve keeps between Newton steps for the step solves.
+
+    lu is None or the factors of an earlier step's shifted matrix, real SuperLU
+    factors or _HermitianFactors. hermitian is None or, while the multipliers
+    are zero, the next step matrix's complex Hermitian form (_hermitian_matrix)
+    with its layout (n, e, tau); _damped_solve factors that in place of the real
+    matrix and drops it.
+    """
+
+    lu: object = None
+    hermitian: tuple | None = None
 
 
 def _damped_solve(matrix, rhs, mu: float, kept=None):
     """Newton step on matrix + mu*I with a backward error of at most 1e-6*||rhs||.
 
-    kept is the solve's list of kept factors: empty, or the SuperLU factors lu
-    of an earlier step's shifted matrix. With factors, the step is found by
+    kept is the solve's _KeptFactors. With factors in it, the step is found by
     iterative refinement on them (Wilkinson; Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 12), step += lu.solve(rhs - shifted @ step), for
     as long as every sweep shrinks the backward error by _REFINE_CONTRACTION.
-    Only if that misses the accuracy test is matrix + mu*I factored itself,
+    Only if that misses the accuracy test is the step system factored itself,
     after the stale factors leave kept, so that two sets of factors are never
     alive at once: SuperLU orders the symmetric saddle point by minimum degree
     on its (symmetric) pattern and prefers diagonal pivots, and mu escalates
     until the step meets the same test. The new factors then go into kept.
-    Escalated damping is kept for later iterations, since a step system
-    singular at one iterate will almost surely be singular at the next.
-    Returns the step, the damping it used and the number of factorizations it
-    ran; kept=None factors afresh and keeps nothing.
+    The step system is factored in complex form exactly when kept holds its
+    Hermitian form, which solve_stls puts there while the multipliers are
+    zero: at the first step, whose factors every later step then refines on; a
+    refactorization at a later step factors matrix + mu*I, which is real and
+    not complex-linear. Escalated damping is kept for later iterations, since
+    a step system singular at one iterate will almost surely be singular at
+    the next. Returns the step, the damping it used and the number of
+    factorizations it ran; kept=None factors afresh and keeps nothing.
     """
-    import scipy.sparse as sp  # deferred, as in _newton_matrix
-    from scipy.sparse.linalg import splu
+    import scipy.sparse as sp  # deferred, as in _assemble
+
+    from ._native import factor, one_blas_thread, release_free_heap
 
     rhs_norm = float(np.linalg.norm(rhs))
     bound = 1e-6 * max(rhs_norm, 1e-300)
     shifted = matrix if mu == 0 else matrix + mu * sp.identity(matrix.shape[0], format="csc")
-    kept = [] if kept is None else kept
-    if kept:
-        lu = kept[0]
+    kept = _KeptFactors() if kept is None else kept
+    if kept.lu is not None:
+        lu = kept.lu
         step, previous = lu.solve(rhs), rhs_norm
         while True:
             residual = rhs - shifted @ step
@@ -322,20 +432,25 @@ def _damped_solve(matrix, rhs, mu: float, kept=None):
             previous = backward
             step += lu.solve(residual)
         del lu
-        kept.clear()  # the stale factors go before any new ones are made
+        kept.lu = None  # the stale factors go before any new ones are made
+        release_free_heap()
+    hermitian, kept.hermitian = kept.hermitian, None
     factored = 0
     while True:
         factored += 1
         lu = None  # and so do those of a failed attempt
         try:
-            # minimum degree on A + A^T, diagonal pivots preferred: SuperLU's default COLAMD
-            # gives this matrix several times the fill (2.0M against 0.37M entries in L and U
-            # on tree123 at tau 20)
-            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                      options={"SymmetricMode": True})
+            if hermitian is None:
+                lu = factor(shifted)
+            else:
+                form, *layout = hermitian
+                with one_blas_thread():
+                    lu = factor(form if mu == 0 else
+                                form + mu * sp.identity(form.shape[0], format="csc"))
+                lu = _HermitianFactors(lu, *layout)
             step = lu.solve(rhs)
             if np.all(np.isfinite(step)) and float(np.linalg.norm(shifted @ step - rhs)) <= bound:
-                kept.append(lu)
+                kept.lu = lu
                 return step, mu, factored
         except RuntimeError:
             pass
@@ -383,10 +498,12 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
     best = (r_norm, 0, s.copy(), y.copy())
     it = factorizations = 0
     pattern = None  # the Newton matrix's index arrays, built at the first step
-    kept = []  # the step system's SuperLU factors, kept for refining later steps
+    kept = _KeptFactors()  # the step system's factors, kept for refining later steps
     while r_norm > tol and it < max_iter:
         if pattern is None:
             pattern = _newton_pattern(inc, tau)
+        if not lam.any():  # P vanishes: the step system is complex-linear
+            kept.hermitian = (_hermitian_matrix(inc, v, s, y), n, e_hat, tau)
         step, mu, factored = _damped_solve(_newton_matrix(inc, v, s, y, lam, pattern),
                                            -resid, mu, kept)
         factorizations += factored

@@ -113,21 +113,41 @@ def currents_from_voltages(net: AdmittanceNetwork, v: np.ndarray) -> np.ndarray:
     Cross-checked against the incidence-matrix route; the two must agree to
     1e-12 relative or the network model itself is inconsistent.
     """
-    return _checked_currents(net, [np.asarray(v, dtype=complex)])[0]
+    v = np.asarray(v, dtype=complex)
+    profiles = v.reshape(v.shape[0], -1).T  # one row per profile, also for an n-by-k v
+    return _checked_points(net, profiles, profiles.shape[0])[:, 1].T.reshape(v.shape)
 
 
-def _checked_currents(net: AdmittanceNetwork, voltages: list) -> list:
-    # one nodal matrix and one matvec per profile, then one cross-check of them all;
-    # a matvec per profile keeps each point's currents independent of tau
+# the incidence cross-check reads this many entries of (e or n)-by-columns at a time
+_CHECK_CHUNK = 1 << 15
+
+
+def _checked_points(net: AdmittanceNetwork, voltages, tau: int) -> np.ndarray:
+    """The tau x 2 x n points of tau voltage profiles (any iterable), with their currents.
+
+    One nodal matrix and one matvec per profile, each written into its point,
+    so a point's currents do not depend on tau; then one cross-check of them
+    all against the incidence route, run over chunks of points so that its
+    e-by-chunk temporaries stay small.
+    """
     y_mat = matrix_from_vector(net)
-    currents = [y_mat @ v for v in voltages]
-    v, i_matrix = np.column_stack(voltages), np.column_stack(currents)
+    points = np.empty((tau, 2, net.graph.n), dtype=complex)
+    for point, v in zip(points, voltages, strict=True):
+        point[0] = v
+        point[1] = y_mat @ point[0]
+    del y_mat
     inc = net.graph.incidence
-    i_edges = inc.scatter(inc.diff(v) * net.y[:, np.newaxis])
-    scale = max(1.0, float(np.linalg.norm(i_matrix)))
-    if float(np.linalg.norm(i_matrix - i_edges)) > 1e-12 * scale:
+    step = max(1, _CHECK_CHUNK // max(inc.n, inc.e))
+    misfit = total = 0.0
+    for start in range(0, points.shape[0], step):
+        chunk = points[start:start + step]
+        v, i_matrix = chunk[:, 0].T, chunk[:, 1].T
+        i_edges = inc.scatter(inc.diff(v) * net.y[:, np.newaxis])
+        misfit += float(np.linalg.norm(i_matrix - i_edges)) ** 2
+        total += float(np.linalg.norm(i_matrix)) ** 2
+    if math.sqrt(misfit) > 1e-12 * max(1.0, math.sqrt(total)):
         raise ConsistencyError("nodal-matrix and incidence current paths disagree")
-    return currents
+    return points
 
 
 def perturb_voltages(v1: np.ndarray, count: int, seed) -> list[np.ndarray]:
@@ -162,8 +182,8 @@ def synthesize(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
     if tau < 1:
         raise ValueError("tau must be >= 1")
     v1 = default_base_voltage(net.graph.n, _stream(seed, _TAG_SYNTH, 0))
-    voltages = [v1] + perturb_voltages(v1, tau - 1, seed)
-    return MeasurementSet(list(zip(voltages, _checked_currents(net, voltages))), seed=seed)
+    return MeasurementSet(_checked_points(net, [v1] + perturb_voltages(v1, tau - 1, seed), tau),
+                          seed=seed)
 
 
 def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
@@ -176,9 +196,9 @@ def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> Measuremen
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    voltages = [random_voltage_matrix(net.graph.n, 1, _stream(seed, _TAG_INDEPENDENT, k)).ravel()
-                for k in range(1, tau + 1)]
-    return MeasurementSet(list(zip(voltages, _checked_currents(net, voltages))), seed=seed)
+    voltages = (random_voltage_matrix(net.graph.n, 1, _stream(seed, _TAG_INDEPENDENT, k)).ravel()
+                for k in range(1, tau + 1))
+    return MeasurementSet(_checked_points(net, voltages, tau), seed=seed)
 
 
 def add_noise(ms: MeasurementSet, spec: NoiseSpec, seed) -> MeasurementSet:

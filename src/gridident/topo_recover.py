@@ -265,8 +265,9 @@ def solver_outcome(est: TopologyEstimate) -> dict:
     lambda_min/lambda_max of the whitened voltage Gram under a hypothesis that
     holds every node pair. Convergence, KKT residual, Newton steps taken,
     SuperLU factorizations of the step system (one when every later step
-    refined on the first step's factors) and the damping of the last step are
-    stls's, None on the exact and plugin paths.
+    refined on the first step's factors; the first step's are complex
+    Hermitian, a later step's refactorization real) and the damping of the
+    last step are stls's, None on the exact and plugin paths.
     """
     sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,

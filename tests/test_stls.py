@@ -14,7 +14,8 @@ from gridident import (Incidence, NoiseSpec, PriorTopology, add_noise, complete_
                        least_squares, plug_in_ols, random_admittances, solve_stls,
                        stack_coefficients, synthesize, synthesize_independent,
                        voltage_coefficient)
-from gridident.stls import _kkt_residual, _newton_matrix, _split_step
+from gridident.stls import (_KeptFactors, _damped_solve, _hermitian_matrix, _kkt_residual,
+                            _newton_matrix, _split_step)
 
 
 def _network(n, seed):
@@ -446,6 +447,102 @@ def test_refining_on_kept_factors_matches_refactoring_every_step(monkeypatch, ne
         assert 1 <= sol.factorizations <= steps
         factorizations.append(sol.factorizations)
     assert (max(factorizations) > 1) == fallback, factorizations
+
+
+def _part_indices(n, e, tau):
+    """Where each complex unknown's real and imaginary parts sit in the real KKT layout.
+
+    The complex unknowns are ordered every point's noise, the admittances,
+    then every point's multipliers, as _split_step returns them.
+    """
+    ds, dy, dlam = _split_step(np.arange(tau * 6 * n + 2 * e, dtype=float), n, e, tau)
+    z = np.concatenate([ds.T.ravel(), dy, dlam.T.ravel()])
+    return z.real.astype(int), z.imag.astype(int)
+
+
+@pytest.mark.parametrize("network, tau", [("mesh14", 12), ("tree123", 5), ("complete6", 2)])
+def test_first_newton_matrix_realifies_a_hermitian_matrix(network, tau):
+    """At the warm start's zero multipliers the Newton matrix is complex-linear.
+
+    Its real-real and imaginary-imaginary blocks are equal and its
+    real-imaginary block is the negated imaginary-real block, so it realifies
+    the complex matrix B_rr + i B_ir, which is Hermitian and equals
+    _hermitian_matrix; P makes it antilinear at nonzero multipliers. The step
+    from that matrix's factors solves the real step system as accurately as
+    the real factorization's step.
+    """
+    import scipy.sparse as sp
+    from gridident import structured_least_squares
+    ms, prior = _noisy_input(network, tau)
+    inc = prior.graph.incidence
+    n, e = inc.n, inc.e
+    v = ms.voltage_matrix()
+    y, diag = structured_least_squares(ms, inc)
+    mu = 0.0 if diag.unique else 1e-6  # complete6 at tau 2 is rank-deficient
+    assert (mu > 0) == (network == "complete6")
+    s, lam = np.zeros((2 * n, tau), dtype=complex), np.zeros((n, tau), dtype=complex)
+    re, im = _part_indices(n, e, tau)
+
+    def blocks(k):
+        return [k[rows][:, cols] for rows in (re, im) for cols in (re, im)]
+
+    k = _newton_matrix(inc, v, s, y, lam)
+    rr, ri, ir, ii = blocks(k)
+    assert (rr - ii).count_nonzero() == 0 and (ri + ir).count_nonzero() == 0
+    a = rr + 1j * ir
+    assert (a - a.conj().T).count_nonzero() == 0
+    h = _hermitian_matrix(inc, v, s, y)
+    assert h.shape == (tau * 3 * n + e,) * 2 and abs(h - a).max() == 0
+
+    rng = np.random.default_rng(103)
+    lam = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
+    rr, ri, ir, ii = blocks(_newton_matrix(inc, v, s, y, lam))
+    assert (rr - ii).count_nonzero() > 0 and (ri + ir).count_nonzero() > 0
+
+    lam = np.zeros_like(lam)
+    rhs = -_kkt_residual(inc, v, ms.current_matrix(), s, y, lam)[0]
+    real_step, real_mu, _ = _damped_solve(k, rhs, mu)
+    kept = _KeptFactors(hermitian=(h, n, e, tau))
+    step, step_mu, factored = _damped_solve(k, rhs, mu, kept)
+    assert (step_mu, factored, kept.hermitian) == (real_mu, 1, None)
+    # both solve the real step system to rounding; how far apart that leaves the steps
+    # depends on its conditioning (6e-12 relative on mesh14, 4e-9 on the damped complete6)
+    shifted = k + mu * sp.identity(k.shape[0], format="csc")
+    for x in (step, real_step):
+        assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_complex_factorization_restores_the_scipy_blas_thread_count(monkeypatch):
+    """scipy's OpenBLAS runs the complex factorization on one thread and keeps its count.
+
+    The first factorization attempt fails as singular, so the damping escalates
+    and a second complex factorization runs; the count is restored both times.
+    """
+    import scipy.sparse.linalg as sla
+    from gridident import _native, stls
+    blas = _native.scipy_blas_threads()
+    if blas is None:
+        pytest.skip("no bundled OpenBLAS with thread-count entry points")
+    get_threads, set_threads = blas
+    calls, splu = [], sla.splu
+
+    def singular_first(matrix, **kwargs):
+        calls.append((matrix.dtype.kind, get_threads()))
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(sla, "splu", singular_first)
+    ms, prior = _noisy_input("mesh14", 12)
+    before = get_threads()
+    set_threads(2)  # a count the guard must restore, on one core too
+    try:
+        sol = solve_stls(ms, prior)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert calls == [("c", 1), ("c", 1)]
+    assert sol.converged and sol.damping == stls._DAMPING_FLOOR and sol.factorizations == 2
 
 
 def test_noisy_solve_converges_and_improves():

@@ -104,6 +104,26 @@ def test_synthesize_independent_prefix():
     assert np.array_equal(long.points[:2, 0], short.points[:, 0])
 
 
+def test_independent_synthesis_memory_is_twice_the_points():
+    """A 400-node tree at tau = 399: the points and the set's own copy of them, little more.
+
+    The nodal matrix (2.6 MB) goes before that copy, and the incidence
+    cross-check runs over chunks of points.
+    """
+    import tracemalloc
+    from gridident import random_tree
+    rng = np.random.default_rng([400, 1])
+    net = random_admittances(random_tree(400, rng), rng)
+    net.graph.incidence  # built and cached before the measurement
+    tracemalloc.start()
+    try:
+        ms = synthesize_independent(net, 399, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * ms.points.nbytes
+
+
 def _noisy(make):
     return lambda net, tau, seed: add_noise(make(net, tau, seed), NoiseSpec(1e-3), [seed, 1])
 

@@ -15,27 +15,28 @@ matrix is a symmetric saddle point whose blocks are all H diag(w) or
 H diag(y) H^T patterns, so its sparse pattern follows from the endpoints and
 tau alone. A solve builds that pattern once, as int32 CSC index arrays with
 O(tau*e) entries, and every step writes only the values into it; the
-pattern is dropped when the solve returns. SuperLU factors the matrix with a
-symmetric minimum-degree ordering. A solve factors it once, at the first
-step, and keeps those factors: each later step solves its own matrix by
-iterative refinement on them, since from one step to the next the matrix
-moves only by the noise's order. The first step starts from zero
-multipliers, where P, the one block that is not complex-linear, vanishes:
-its matrix is then exactly the realification of a complex Hermitian matrix
-of half the dimension, and that is what SuperLU factors (on tree123 under
-its tree prior, a fifth of the stored entries). Every step passes the same accuracy test, a backward error of at
-most 1e-6 of its right-hand side against the real matrix; a step whose
-refinement stalls before that drops the stale factors, factors its own real
-matrix and keeps the new factors, so the iterates are full Newton steps
-either way. It returns its
-least-squares warm start's rank diagnostic and never warns. The plug-in ordinary least squares
+pattern is dropped when the solve returns.
+
+The first step starts from zero multipliers, where P, the one block that is
+not complex-linear, vanishes. Its step system is then complex-linear, and
+eliminating the noise and the multipliers leaves the e-by-e Hermitian
+Gauss-Newton matrix of variable projection on the admittances alone
+(_SchurFactors): one n-by-n inverse and one e-by-e Cholesky factorization,
+dense, in numpy. Each later step solves its own real matrix by iterative
+refinement on those factors, since from one step to the next the matrix
+moves only by the noise's order. Every step passes the same accuracy test, a
+backward error of at most 1e-6 of its right-hand side against the real
+matrix; a step whose refinement stalls before that drops the stale factors,
+factors its own real matrix with SuperLU and keeps the new factors, so the
+iterates are full Newton steps either way. It returns its least-squares warm
+start's rank diagnostic and never warns. The plug-in ordinary least squares
 estimator averages replicate snapshots before one plain regression;
 topo_recover.choose_method decides when it replaces the structured solve.
 
-scipy.sparse, SuperLU and the native wrappers in _native load on the first
-Newton step, not on import:
-importing scipy costs a fresh process about 0.3 s and 30 MB of resident
-memory, which noiseless runs, the CLI's help and synthesis never need.
+scipy.sparse and scipy.linalg's triangular solves load on the first Newton
+step and SuperLU on the first refactorization, not on import: importing scipy
+costs a fresh process about 0.3 s and 30 MB of resident memory, which
+noiseless runs, the CLI's help and synthesis never need.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ _DAMPING_FLOOR = 1e-10
 _DAMPING_CAP = 1e8
 _DEFICIENT_DAMPING = 1e-6
 # Every refinement sweep on kept factors must shrink the step's backward error by
-# this factor, or the step system is refactored. At sigma 1e-3 one sweep shrinks it
-# by 1e-3 to 3e-2, so the first step's factors meet the bound in 2-3 sweeps after
-# the first solve on mesh14 under minus-one:1-8 (tau 12-20) and on tree123 under
-# its tree prior (tau 2-20); at sigma 0.05 on tree123 (tau 10) it takes 7-8 sweeps
-# of 0.1 to 0.35 each. At 0.5 a refinement that succeeds needs at most 20 sweeps, and
-# a sweep costs 1/90 to 1/16 of a factorization on those inputs.
+# this factor, or the step system is refactored. Measured at sigma 1e-3 on the first
+# step's Schur factors: on mesh14 under minus-one:1-8 (tau 12-20) one sweep shrinks it
+# by 1e-3 to 2e-2, and the bound is met 2-3 sweeps after the first solve; on the
+# benchmark's 123-node trees under their tree priors (seed 12301, tau 1-20) a sweep
+# shrinks it by 7e-3 to 0.9 (median 0.055) over 3-8 sweeps, and 14 of the 128 solves
+# stall at the second step and refactor (8 at tau 5, 2 at tau 10, 4 at tau 20; 9 of
+# the first 16 trees' 64). At sigma 0.05 on tree123 (tau 10) it takes 7 sweeps of
+# 0.07 to 0.35 each. At 0.5 a refinement that succeeds needs at most 20 sweeps, and
+# a sweep costs 1/70 to 1/8 of a real SuperLU factorization on those inputs.
 _REFINE_CONTRACTION = 0.5
 
 
@@ -73,10 +77,11 @@ class StlsSolution:
     voltage noise over the current noise. uniqueness is the warm start's rank diagnostic.
     damping is the diagonal shift of the last Newton step (0.0 if none was
     taken or none was needed): positive on rank-deficient input, or where a
-    step system was singular. factorizations counts the SuperLU factorizations
-    of step systems: 1 when every later step refined on the first step's
-    factors, 0 when no step was taken. The first step's factorizations are
-    of its complex Hermitian form; a later step's refactorization is real.
+    step system was singular. factorizations counts the factorizations of
+    step systems: 1 when every later step refined on the first step's
+    factors, 0 when no step was taken. The first step's are dense Cholesky
+    factorizations of its Schur complement on the admittances; a later
+    step's refactorization is SuperLU's, of its real matrix.
     """
 
     y: np.ndarray
@@ -167,20 +172,18 @@ _REALIFIED = {
 }
 
 
-def _point_pattern(inc, real=True):
+def _point_pattern(inc):
     """The stored pattern of the Newton matrix at one operating point, in CSC form.
 
     The blocks are listed once, over the point's complex unknowns: voltage
     noise and current noise (n each), admittances (e), multipliers (n). Their
     entries read the point's complex sources S, which are 1, -1, then b, c
-    (2e each) and lap (n + 2e), as _point_sources forms them. real=True
-    realifies every block into _newton_matrix's layout, where an unknown's
-    imaginary part follows its real part by n (by e for the admittances).
-    real=False keeps the complex Hermitian form that holds at zero
-    multipliers; it leaves out P, the one antilinear block, which is zero there.
+    (2e each) and lap (n + 2e), as _point_sources forms them. Every block is
+    realified into _newton_matrix's layout, where an unknown's imaginary part
+    follows its real part by n (by e for the admittances).
 
     Returns indptr, the row indices and take: stored entry k holds entry take[k]
-    of [Re S, Im S, -Re S, -Im S] (real) or of [S, conj(S)] (complex).
+    of [Re S, Im S, -Re S, -Im S].
     """
     n, e = inc.n, inc.e
     m = 2 + 6 * e + n  # sources per point
@@ -202,32 +205,25 @@ def _point_pattern(inc, real=True):
         (lap_row, lap_col, src_lap, "conj"),
         (nodes + n, nodes + at_mult, 1, "scalar"),
     ]
-    if real:
-        # where each complex unknown's real, then imaginary part sits in the real layout:
-        # [Re dV, Im dV, Re dI, Im dI], then [Re y, Im y], then [Re lam, Im lam]
-        starts, widths = (0, 2 * n, 4 * n, 4 * n + 2 * e), (n, n, e, n)
-        at = [np.concatenate([start + p * w + np.arange(w) for start, w in zip(starts, widths)])
-              for p in (0, 1)]
-        # the realification is symmetric: the lower blocks read the upper ones' sources
-        upper = [(at[pr][r], at[pc][c], k + s * m, k + s * m)
-                 for r, c, k, kind in upper for pr, pc, s in _REALIFIED[kind]]
-    else:
-        # Hermitian: the upper blocks read conj(S), the lower ones S
-        upper = [(r, c, k + m * (kind == "conj"), k)
-                 for r, c, k, kind in upper if kind != "antilinear"]
-    rows, cols, take, mirrored = (np.concatenate(entries) for entries in zip(
-        *(np.broadcast_arrays(*block) for block in upper)))
-    parts = 2 if real else 1
-    eye = np.arange(2 * parts * n)  # the identity on the noise, source 0
+    # where each complex unknown's real, then imaginary part sits in the real layout:
+    # [Re dV, Im dV, Re dI, Im dI], then [Re y, Im y], then [Re lam, Im lam]
+    starts, widths = (0, 2 * n, 4 * n, 4 * n + 2 * e), (n, n, e, n)
+    at = [np.concatenate([start + p * w + np.arange(w) for start, w in zip(starts, widths)])
+          for p in (0, 1)]
+    rows, cols, take = (np.concatenate(entries) for entries in zip(
+        *(np.broadcast_arrays(at[pr][r], at[pc][c], k + s * m)
+          for r, c, k, kind in upper for pr, pc, s in _REALIFIED[kind])))
+    eye = np.arange(4 * n)  # the identity on the noise, source 0
+    # the realification is symmetric: the lower blocks read the upper ones' sources
     rows, cols = np.concatenate([eye, rows, cols]), np.concatenate([eye, cols, rows])
-    take = np.concatenate([np.zeros(eye.shape[0], dtype=take.dtype), take, mirrored])
+    take = np.concatenate([np.zeros(eye.shape[0], dtype=take.dtype), take, take])
     order = np.lexsort((rows, cols))  # CSC order: column-major, rows ascending
-    dim = parts * (3 * n + e)
+    dim = 2 * (3 * n + e)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=dim))])
     return indptr, rows[order], take[order]
 
 
-def _newton_pattern(inc, tau, real=True):
+def _newton_pattern(inc, tau):
     """The stored pattern of the Newton matrix at tau points: int32 CSC indptr and row indices.
 
     Also returns where each stored value comes from, as three index arrays
@@ -236,31 +232,28 @@ def _newton_pattern(inc, tau, real=True):
     point repeats that pattern with the point's rows, and each admittance
     column holds the noise rows of every point, then the multiplier rows of
     every point. The pattern depends on the endpoints and tau alone, so
-    solve_stls builds the real one once per solve, and the complex one
-    (real=False) with the first step's matrix. Apart from the indices a matrix
+    solve_stls builds it once per solve. Apart from the indices a matrix
     holds anyway, it keeps only O(n + e) integers.
     """
     n, e = inc.n, inc.e
-    parts = 2 if real else 1
-    indptr1, rows1, take1 = _point_pattern(inc, real)
-    w_noise, w_y = 2 * parts * n, parts * e  # one point's noise rows, then the admittances
+    indptr1, rows1, take1 = _point_pattern(inc)
+    w_noise, w_y = 4 * n, 2 * e  # one point's noise rows, then the admittances
     ns = w_noise * tau  # the noise rows; the admittances follow, then the multipliers
     t = np.arange(tau, dtype=np.int32)[:, np.newaxis]
     rows1 = rows1.astype(np.int32)
 
     def rows_at(r):
         # one-point rows r at every point: noise rows move by w_noise per point and
-        # multiplier rows by parts * n
+        # multiplier rows by 2n
         return r + np.where(r < w_noise, w_noise * t,
-                            ns - w_noise + np.where(r < w_noise + w_y, 0, parts * n * t))
+                            ns - w_noise + np.where(r < w_noise + w_y, 0, 2 * n * t))
 
     cuts = indptr1[[w_noise, w_noise + w_y]]
     noise_rows, y_rows, mult_rows = np.split(rows1, cuts)
     noise_take, y_take, mult_take = np.split(take1, cuts)
-    # at each point an admittance column holds 4 noise rows (P), then 4 multiplier rows
-    # (Jy) in real form, and 2 multiplier rows in complex form
-    y_rows = y_rows.reshape(w_y, parts, 1, 2 * parts)
-    y_take = y_take.reshape(w_y, parts, 2 * parts)
+    # at each point an admittance column holds 4 noise rows (P), then 4 multiplier rows (Jy)
+    y_rows = y_rows.reshape(w_y, 2, 1, 4)
+    y_take = y_take.reshape(w_y, 2, 4)
     counts = np.diff(indptr1)
     counts = np.concatenate([np.tile(counts[:w_noise], tau), counts[w_noise:w_noise + w_y] * tau,
                              np.tile(counts[w_noise + w_y:], tau)])
@@ -300,7 +293,7 @@ def _point_sources(inc, v, s, y, lam):
 
 def _assemble(pattern, src):
     # the CSC matrix of pattern (_newton_pattern) whose stored entries read src, the
-    # tau-by-S sources of every point: real or complex
+    # tau-by-S real sources of every point
     import scipy.sparse as sp  # deferred: numpy-only paths never pay scipy's import
 
     indptr, indices, takes = pattern
@@ -339,55 +332,83 @@ def _newton_matrix(inc, v, s, y, lam, pattern=None):
     return _assemble(pattern, np.concatenate([src.real, src.imag, -src.real, -src.imag], axis=1))
 
 
-def _hermitian_matrix(inc, v, s, y):
-    """The complex Hermitian matrix that _newton_matrix realifies at zero multipliers.
+class _SchurFactors:
+    """The step system at zero multipliers, solved by its Schur complement on the admittances.
 
-    It is [[I, 0, Js^H], [0, 0, Jy^H], [Js, Jy, 0]] over every point's complex
-    noise, the complex admittances and every point's complex multipliers, in
-    the order of _split_step: half the real matrix's dimension, 3n*tau + e,
-    and on tree123 under its tree prior a fifth of its stored entries. P, the
-    one block that is not complex-linear, vanishes with the multipliers. The
-    matrix's own int32 pattern is built with it and goes when it goes.
+    At zero multipliers P vanishes, and the step system shifted by mu is the
+    realification of a complex one. Per point t it reads
+
+        (1 + mu) ds_t + Js^H dlam_t = r_s,t
+        mu dy + sum_t Jy_t^H dlam_t = r_y
+        Js ds_t + Jy_t dy + mu dlam_t = r_lam,t
+
+    with Js = [Y, -I] the same at every point, Y = H diag(y) H^T, and
+    Jy_t = H diag(d_t), d_t = H^T(v_t + dv_t). Eliminating the noise, then the
+    multipliers (Benzi, Golub & Liesen, Acta Numerica 2005), leaves
+    dlam_t = N^-1 (Jy_t dy - q_t) with q_t = r_lam,t - Js r_s,t / (1 + mu) and
+    N = (I + Y Y^H) / (1 + mu) - mu I, one n-by-n matrix for every point, and
+    the e-by-e Hermitian system G dy = r_y + sum_t Jy_t^H N^-1 q_t with
+    G = (H^T N^-1 H) * (conj(D) D^T) + mu I. At mu = 0, G is the Gauss-Newton
+    matrix of variable projection (Golub & Pereyra, Inverse Problems 2003), the
+    Hadamard shape of exact_estimate._gram_solve's Gram.
+
+    N^-1 is numpy's inverse and G's factor numpy's Cholesky, which raises
+    LinAlgError unless G is numerically positive definite; N is positive
+    definite for mu below 0.6. H^T N^-1 H is read from four gathers of N^-1 at
+    the endpoints, summed so that a flipped column of H negates its row and
+    column of the sum exactly: the step is the same bit for bit under any
+    orientation. solve maps a right-hand side in the real KKT layout to the
+    complex one and the step back. The complex system is the real one exactly,
+    so refinement on these factors reads the real matrix's residual.
     """
-    src = _point_sources(inc, v, s, y, np.zeros_like(v))  # the multipliers only enter P
-    return _assemble(_newton_pattern(inc, v.shape[1], real=False),
-                     np.concatenate([src, src.conj()], axis=1))
 
-
-class _HermitianFactors:
-    """SuperLU factors of a step system's complex Hermitian form; solve works in the real layout.
-
-    solve maps a right-hand side in the real KKT layout to the complex one,
-    solves there and maps the solution back. The complex system is the real
-    one exactly, so iterative refinement on these factors reads the real
-    matrix's residual as it would on real factors.
-    """
-
-    def __init__(self, lu, n: int, e: int, tau: int):
-        self.lu, self.n, self.e, self.tau = lu, n, e, tau
+    def __init__(self, inc, v, s, y, mu: float):
+        n = inc.n
+        self.inc, self.mu = inc, mu
+        self.d = d = inc.diff(v + s[:n])
+        self.lap = lap = inc.laplacian(y)
+        shifted = lap @ lap.conj().T  # N = (I + Y Y^H) / (1 + mu) - mu I
+        shifted[np.diag_indices(n)] += 1.0
+        shifted /= 1.0 + mu
+        shifted[np.diag_indices(n)] -= mu
+        self.w = np.linalg.inv(shifted)
+        # numpy factors conj(G) = L L^H, so L.T is G's upper Cholesky factor, in the
+        # Fortran order LAPACK reads, as in _gram_solve
+        w, p, m = self.w.conj(), inc.plus, inc.minus
+        gram = w[np.ix_(p, p)]
+        gram += w[np.ix_(m, m)]
+        gram -= w[np.ix_(p, m)] + w[np.ix_(m, p)]
+        gram *= d @ d.conj().T
+        gram[np.diag_indices(inc.e)] += mu
+        self.upper = np.linalg.cholesky(gram).T
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n, e, tau = self.n, self.e, self.tau
-        ds, dy, dlam = _split_step(rhs, n, e, tau)
-        z = self.lu.solve(np.concatenate([ds.T.ravel(), dy, dlam.T.ravel()]))
-        ns = 2 * n * tau
-        return _join_step(z[:ns].reshape(tau, 2 * n).T, z[ns:ns + e],
-                          z[ns + e:].reshape(tau, n).T, n)
+        # one right-hand side: scipy's triangular solves run on one thread (_gram_solve)
+        from scipy.linalg import cho_solve
+
+        inc, mu, w, d, lap = self.inc, self.mu, self.w, self.d, self.lap
+        n = inc.n
+        r_s, r_y, r_lam = _split_step(rhs, n, inc.e, d.shape[1])
+        q = r_lam - (lap @ r_s[:n] - r_s[n:]) / (1.0 + mu)
+        dy = cho_solve((self.upper, False), r_y + _stack_adjoint(inc, d, w @ q),
+                       check_finite=False)
+        dlam = w @ (inc.scatter(d * dy[:, np.newaxis]) - q)
+        ds = (r_s - np.vstack([lap.conj() @ dlam, -dlam])) / (1.0 + mu)
+        return _join_step(ds, dy, dlam, n)
 
 
 @dataclass
 class _KeptFactors:
     """What a solve keeps between Newton steps for the step solves.
 
-    lu is None or the factors of an earlier step's shifted matrix, real SuperLU
-    factors or _HermitianFactors. hermitian is None or, while the multipliers
-    are zero, the next step matrix's complex Hermitian form (_hermitian_matrix)
-    with its layout (n, e, tau); _damped_solve factors that in place of the real
-    matrix and drops it.
+    lu is None or the factors of an earlier step's shifted matrix: SuperLU's of
+    a real matrix, or _SchurFactors. schur is None or, while the multipliers
+    are zero, the arguments (inc, v, s, y) of the next step's _SchurFactors;
+    _damped_solve factors those in place of the real matrix and drops them.
     """
 
     lu: object = None
-    hermitian: tuple | None = None
+    schur: tuple | None = None
 
 
 def _damped_solve(matrix, rhs, mu: float, kept=None):
@@ -399,21 +420,24 @@ def _damped_solve(matrix, rhs, mu: float, kept=None):
     as long as every sweep shrinks the backward error by _REFINE_CONTRACTION.
     Only if that misses the accuracy test is the step system factored itself,
     after the stale factors leave kept, so that two sets of factors are never
-    alive at once: SuperLU orders the symmetric saddle point by minimum degree
-    on its (symmetric) pattern and prefers diagonal pivots, and mu escalates
-    until the step meets the same test. The new factors then go into kept.
-    The step system is factored in complex form exactly when kept holds its
-    Hermitian form, which solve_stls puts there while the multipliers are
-    zero: at the first step, whose factors every later step then refines on; a
+    alive at once, and mu escalates until the step meets the same test. The
+    new factors then go into kept. While kept holds the arguments of
+    _SchurFactors, which solve_stls puts there while the multipliers are zero,
+    the factors are those of its Schur complement, dense and in numpy: at the
+    first step, whose factors every later step then refines on. A
     refactorization at a later step factors matrix + mu*I, which is real and
-    not complex-linear. Escalated damping is kept for later iterations, since
-    a step system singular at one iterate will almost surely be singular at
-    the next. Returns the step, the damping it used and the number of
-    factorizations it ran; kept=None factors afresh and keeps nothing.
+    not complex-linear, with SuperLU, which orders the symmetric saddle point
+    by minimum degree on its (symmetric) pattern and prefers diagonal pivots.
+    A singular or indefinite factorization (RuntimeError, LinAlgError) or a
+    step that misses the test escalates mu. Escalated damping is kept for
+    later iterations, since a step system singular at one iterate will almost
+    surely be singular at the next. Returns the step, the damping it used and
+    the number of factorizations it ran; kept=None factors afresh and keeps
+    nothing.
     """
     import scipy.sparse as sp  # deferred, as in _assemble
 
-    from ._native import factor, one_blas_thread, release_free_heap
+    from ._native import factor, release_free_heap
 
     rhs_norm = float(np.linalg.norm(rhs))
     bound = 1e-6 * max(rhs_norm, 1e-300)
@@ -434,25 +458,18 @@ def _damped_solve(matrix, rhs, mu: float, kept=None):
         del lu
         kept.lu = None  # the stale factors go before any new ones are made
         release_free_heap()
-    hermitian, kept.hermitian = kept.hermitian, None
+    schur, kept.schur = kept.schur, None
     factored = 0
     while True:
         factored += 1
         lu = None  # and so do those of a failed attempt
         try:
-            if hermitian is None:
-                lu = factor(shifted)
-            else:
-                form, *layout = hermitian
-                with one_blas_thread():
-                    lu = factor(form if mu == 0 else
-                                form + mu * sp.identity(form.shape[0], format="csc"))
-                lu = _HermitianFactors(lu, *layout)
+            lu = factor(shifted) if schur is None else _SchurFactors(*schur, mu)
             step = lu.solve(rhs)
             if np.all(np.isfinite(step)) and float(np.linalg.norm(shifted @ step - rhs)) <= bound:
                 kept.lu = lu
                 return step, mu, factored
-        except RuntimeError:
+        except (RuntimeError, np.linalg.LinAlgError):
             pass
         mu = _DAMPING_FLOOR if mu == 0 else mu * 10.0
         if mu > _DAMPING_CAP:
@@ -503,7 +520,7 @@ def solve_stls(ms: MeasurementSet, prior: PriorTopology, *, tol: float = 1e-5,
         if pattern is None:
             pattern = _newton_pattern(inc, tau)
         if not lam.any():  # P vanishes: the step system is complex-linear
-            kept.hermitian = (_hermitian_matrix(inc, v, s, y), n, e_hat, tau)
+            kept.schur = (inc, v, s, y)
         step, mu, factored = _damped_solve(_newton_matrix(inc, v, s, y, lam, pattern),
                                            -resid, mu, kept)
         factorizations += factored

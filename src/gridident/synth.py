@@ -13,6 +13,7 @@ MeasurementSet(ms.points[:k]) is the set of ms's first k points.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -159,15 +160,17 @@ def perturb_voltages(v1: np.ndarray, count: int, seed) -> list[np.ndarray]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    v1 = np.asarray(v1, dtype=complex)
+    return list(_perturbations(np.asarray(v1, dtype=complex), count, seed))
+
+
+def _perturbations(v1: np.ndarray, count: int, seed):
+    # perturb_voltages' profiles one at a time, for a caller that stores each as it comes
     envelope = PERTURB_FRACTION * np.abs(v1)
-    out = []
     for j in range(1, count + 1):
         rng = _stream(seed, _TAG_SYNTH, j)
         delta = rng.uniform(-1.0, 1.0, v1.shape[0]) * envelope
         delta = delta + 1j * (rng.uniform(-1.0, 1.0, v1.shape[0]) * envelope)
-        out.append(v1 + delta)
-    return out
+        yield v1 + delta
 
 
 def synthesize(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
@@ -177,13 +180,14 @@ def synthesize(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:
     as perturb_voltages does, both drawn from seed's synthesis streams, so a
     larger tau extends a smaller one bit for bit. Currents are always computed
     from the network model, so every point satisfies current conservation
-    exactly.
+    exactly. The profiles are generated as the points are filled, so no list
+    of them is held beside the points.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     v1 = default_base_voltage(net.graph.n, _stream(seed, _TAG_SYNTH, 0))
-    return MeasurementSet(_checked_points(net, [v1] + perturb_voltages(v1, tau - 1, seed), tau),
-                          seed=seed)
+    voltages = itertools.chain([v1], _perturbations(v1, tau - 1, seed))
+    return MeasurementSet(_checked_points(net, voltages, tau), seed=seed)
 
 
 def synthesize_independent(net: AdmittanceNetwork, tau: int, seed) -> MeasurementSet:

@@ -264,10 +264,11 @@ def solver_outcome(est: TopologyEstimate) -> dict:
     solve (stls: its warm start): the Gram's Cholesky condition estimate, or
     lambda_min/lambda_max of the whitened voltage Gram under a hypothesis that
     holds every node pair. Convergence, KKT residual, Newton steps taken,
-    SuperLU factorizations of the step system (one when every later step
-    refined on the first step's factors; the first step's are complex
-    Hermitian, a later step's refactorization real) and the damping of the
-    last step are stls's, None on the exact and plugin paths.
+    factorizations of the step system (one when every later step refined on
+    the first step's factors; the first step's are dense Cholesky
+    factorizations of its Schur complement on the admittances, a later step's
+    refactorization SuperLU's of its real matrix) and the damping of the last
+    step are stls's, None on the exact and plugin paths.
     """
     sol, diag = est.solver, est.uniqueness
     return {"method": est.method, "converged": None if sol is None else sol.converged,

@@ -14,7 +14,7 @@ from gridident import (Incidence, NoiseSpec, PriorTopology, add_noise, complete_
                        least_squares, plug_in_ols, random_admittances, solve_stls,
                        stack_coefficients, synthesize, synthesize_independent,
                        voltage_coefficient)
-from gridident.stls import (_KeptFactors, _damped_solve, _hermitian_matrix, _kkt_residual,
+from gridident.stls import (_KeptFactors, _SchurFactors, _damped_solve, _kkt_residual,
                             _newton_matrix, _split_step)
 
 
@@ -375,7 +375,10 @@ def test_returned_noise_is_the_minimal_noise_for_the_returned_y(network, tau):
 @pytest.mark.parametrize("network, tau", [("mesh14", 12), ("mesh14", 16), ("mesh14", 20),
                                           ("tree123", 5), ("tree123", 20)])
 def test_well_conditioned_solve_factors_once(monkeypatch, network, tau):
-    """The second Newton step refines on the first step's factors and never calls splu."""
+    """The first step's factors are its Schur complement's, and the second step refines on them.
+
+    Neither step calls splu.
+    """
     import scipy.sparse.linalg as sla
     ms, prior = _noisy_input(network, tau)
     calls, splu = [], sla.splu
@@ -388,7 +391,7 @@ def test_well_conditioned_solve_factors_once(monkeypatch, network, tau):
     monkeypatch.setattr(sla, "splu", counting)
     sol = solve_stls(ms, prior)
     assert sol.converged
-    assert (sol.factorizations, len(sol.trace) - 1, len(calls)) == (1, 2, 1)
+    assert (sol.factorizations, len(sol.trace) - 1, len(calls)) == (1, 2, 0)
 
 
 def test_newton_steps_share_one_int32_pattern(monkeypatch):
@@ -466,10 +469,10 @@ def test_first_newton_matrix_realifies_a_hermitian_matrix(network, tau):
 
     Its real-real and imaginary-imaginary blocks are equal and its
     real-imaginary block is the negated imaginary-real block, so it realifies
-    the complex matrix B_rr + i B_ir, which is Hermitian and equals
-    _hermitian_matrix; P makes it antilinear at nonzero multipliers. The step
-    from that matrix's factors solves the real step system as accurately as
-    the real factorization's step.
+    the complex matrix B_rr + i B_ir, which is Hermitian; P makes it
+    antilinear at nonzero multipliers. The step from that complex system's
+    Schur complement solves the real step system as accurately as the real
+    factorization's step.
     """
     import scipy.sparse as sp
     from gridident import structured_least_squares
@@ -490,9 +493,7 @@ def test_first_newton_matrix_realifies_a_hermitian_matrix(network, tau):
     rr, ri, ir, ii = blocks(k)
     assert (rr - ii).count_nonzero() == 0 and (ri + ir).count_nonzero() == 0
     a = rr + 1j * ir
-    assert (a - a.conj().T).count_nonzero() == 0
-    h = _hermitian_matrix(inc, v, s, y)
-    assert h.shape == (tau * 3 * n + e,) * 2 and abs(h - a).max() == 0
+    assert a.shape == (tau * 3 * n + e,) * 2 and (a - a.conj().T).count_nonzero() == 0
 
     rng = np.random.default_rng(103)
     lam = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
@@ -502,46 +503,97 @@ def test_first_newton_matrix_realifies_a_hermitian_matrix(network, tau):
     lam = np.zeros_like(lam)
     rhs = -_kkt_residual(inc, v, ms.current_matrix(), s, y, lam)[0]
     real_step, real_mu, _ = _damped_solve(k, rhs, mu)
-    kept = _KeptFactors(hermitian=(h, n, e, tau))
+    kept = _KeptFactors(schur=(inc, v, s, y))
     step, step_mu, factored = _damped_solve(k, rhs, mu, kept)
-    assert (step_mu, factored, kept.hermitian) == (real_mu, 1, None)
+    assert (step_mu, factored, kept.schur) == (real_mu, 1, None)
+    assert isinstance(kept.lu, _SchurFactors)
     # both solve the real step system to rounding; how far apart that leaves the steps
-    # depends on its conditioning (6e-12 relative on mesh14, 4e-9 on the damped complete6)
+    # depends on its conditioning
     shifted = k + mu * sp.identity(k.shape[0], format="csc")
     for x in (step, real_step):
         assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_complex_factorization_restores_the_scipy_blas_thread_count(monkeypatch):
-    """scipy's OpenBLAS runs the complex factorization on one thread and keeps its count.
+def _warm_start_step_system(ms, prior, mu):
+    """The shifted real Newton matrix at the warm start, its right-hand side and Schur step."""
+    import scipy.sparse as sp
+    from gridident import structured_least_squares
+    inc = prior.graph.incidence
+    n, tau = inc.n, ms.tau
+    v, cur = ms.voltage_matrix(), ms.current_matrix()
+    y = structured_least_squares(ms, inc)[0]
+    s, lam = np.zeros((2 * n, tau), dtype=complex), np.zeros((n, tau), dtype=complex)
+    rhs = -_kkt_residual(inc, v, cur, s, y, lam)[0]
+    k = _newton_matrix(inc, v, s, y, lam) + mu * sp.identity(tau * 6 * n + 2 * inc.e)
+    return k, rhs, _SchurFactors(inc, v, s, y, mu).solve(rhs)
 
-    The first factorization attempt fails as singular, so the damping escalates
-    and a second complex factorization runs; the count is restored both times.
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(4, 12), kind=st.sampled_from(["complete", "tree", "minus_one", "explicit"]),
+       tau_pick=st.integers(0, 2**16), mu=st.sampled_from([0.0, 1e-6, 1e-2]),
+       seed=st.integers(0, 2**16))
+def test_schur_step_solves_the_first_step_system(n, kind, tau_pick, mu, seed):
+    """The Schur step meets a 1e-12 backward error in the real step system plus mu*I.
+
+    tau runs from min_measurements to n-1, and from 2 under the complete prior,
+    where below n-1 points the system is rank-deficient and solve_stls always
+    damps it. Flipping incidence columns leaves the step unchanged bit for bit.
+    """
+    from gridident import (min_measurements, random_connected_graph, random_tree,
+                           structured_least_squares)
+    rng = np.random.default_rng(seed)
+    if kind == "complete":
+        prior = PriorTopology.complete(n)
+    elif kind == "tree":
+        prior = PriorTopology.tree(random_tree(n, rng))
+    elif kind == "minus_one":
+        prior = PriorTopology.minus_one(n, tuple(sorted(rng.choice(n, 2, replace=False) + 1)))
+    else:
+        prior = PriorTopology.explicit(random_connected_graph(n, rng, 0.5))
+    low = 2 if kind == "complete" else min_measurements(prior, n)
+    tau = low + tau_pick % (n - low)
+    net = random_admittances(prior.graph, rng)
+    ms = add_noise(synthesize_independent(net, tau, seed=seed), NoiseSpec(1e-3), seed=seed + 1)
+    if mu == 0 and not structured_least_squares(ms, prior.graph.incidence)[1].unique:
+        mu = 1e-6  # G is singular without a shift, which solve_stls always puts on it
+    k, rhs, step = _warm_start_step_system(ms, prior, mu)
+    assert np.linalg.norm(k @ step - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    inc = prior.graph.incidence
+    flipped = _flipped(inc, rng.choice([-1.0, 1.0], size=inc.e))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(vars(prior.graph), "incidence", flipped)
+        assert np.array_equal(_warm_start_step_system(ms, prior, mu)[2], step)
+
+
+def test_failed_schur_cholesky_escalates_the_damping(monkeypatch):
+    """A first-step Cholesky that fails as indefinite escalates mu and factors again.
+
+    The second Schur factorization, at the damping floor, gives the step, and
+    the later step refines on it: no SuperLU factorization runs.
     """
     import scipy.sparse.linalg as sla
-    from gridident import _native, stls
-    blas = _native.scipy_blas_threads()
-    if blas is None:
-        pytest.skip("no bundled OpenBLAS with thread-count entry points")
-    get_threads, set_threads = blas
-    calls, splu = [], sla.splu
+    from gridident import stls
+    mus, schur, cholesky = [], stls._SchurFactors, np.linalg.cholesky
 
-    def singular_first(matrix, **kwargs):
-        calls.append((matrix.dtype.kind, get_threads()))
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(matrix, **kwargs)
+    def indefinite_first(matrix):
+        if len(mus) == 1:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(matrix)
 
-    monkeypatch.setattr(sla, "splu", singular_first)
+    def recording(inc, v, s, y, mu):
+        mus.append(mu)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", indefinite_first)
+            return schur(inc, v, s, y, mu)
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu ran")
+
+    monkeypatch.setattr(stls, "_SchurFactors", recording)
+    monkeypatch.setattr(sla, "splu", no_splu)
     ms, prior = _noisy_input("mesh14", 12)
-    before = get_threads()
-    set_threads(2)  # a count the guard must restore, on one core too
-    try:
-        sol = solve_stls(ms, prior)
-        assert get_threads() == 2
-    finally:
-        set_threads(before)
-    assert calls == [("c", 1), ("c", 1)]
+    sol = solve_stls(ms, prior)
+    assert mus == [0.0, stls._DAMPING_FLOOR]
     assert sol.converged and sol.damping == stls._DAMPING_FLOOR and sol.factorizations == 2
 
 
